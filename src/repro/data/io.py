@@ -39,7 +39,6 @@ import csv
 import itertools
 import json
 import os
-import shutil
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from io import StringIO
@@ -436,6 +435,10 @@ def _iter_matrix_csv_python(
 #: one process never collide on their temporary file name.
 _WRITER_SERIAL = itertools.count()
 
+#: Bytes per read when :class:`MatrixCsvWriter` seeds from ``append_from`` or
+#: feeds its ``digest``.
+_COPY_BLOCK_BYTES: int = 1 << 20
+
 
 class MatrixCsvWriter:
     """Incremental matrix CSV writer (the streamed dual of :func:`iter_matrix_csv`).
@@ -470,6 +473,13 @@ class MatrixCsvWriter:
         fresh header.  Combined with the atomic commit this is how the
         versioned release bundle appends rows crash-safely: pass the current
         release as both ``append_from`` and ``path``.
+    digest:
+        Optional :mod:`hashlib` object fed every byte of the published file.
+        The ``append_from`` bytes are hashed in the same read that copies
+        them, so right after construction ``digest`` covers exactly the
+        seeded prefix and a caller can check it before writing any row;
+        :meth:`close` then feeds only the bytes written after the prefix,
+        so afterwards the digest is that of the published file.
     codec:
         ``"fast"`` (default) encodes eligible blocks with the batch
         formatter in :mod:`repro.perf.csv_codec` — byte-identical to the
@@ -490,6 +500,7 @@ class MatrixCsvWriter:
         include_ids: bool = False,
         float_format: str | None = None,
         append_from: str | Path | None = None,
+        digest=None,
         codec: str | None = None,
         pipelined: bool = False,
     ) -> None:
@@ -504,14 +515,24 @@ class MatrixCsvWriter:
         self._temporary = self.path.with_name(
             f".{self.path.name}.tmp.{os.getpid()}.{next(_WRITER_SERIAL)}"
         )
+        self._digest = digest
+        self._prefix_bytes = 0
+        self._handle = self._temporary.open("w", newline="", encoding="utf-8")
+        self._writer = csv.writer(self._handle)
         if append_from is not None:
-            shutil.copyfile(append_from, self._temporary)
-            self._handle = self._temporary.open("a", newline="", encoding="utf-8")
-            self._writer = csv.writer(self._handle)
+            try:
+                with open(append_from, "rb") as source:
+                    for block in iter(lambda: source.read(_COPY_BLOCK_BYTES), b""):
+                        if digest is not None:
+                            digest.update(block)
+                        self._handle.buffer.write(block)
+                        self._prefix_bytes += len(block)
+            except BaseException:
+                self._handle.close()
+                self._temporary.unlink(missing_ok=True)
+                raise
             self._text_pending = False
         else:
-            self._handle = self._temporary.open("w", newline="", encoding="utf-8")
-            self._writer = csv.writer(self._handle)
             header = (["id"] if self.include_ids else []) + list(self.columns)
             self._writer.writerow(header)
             self._text_pending = True
@@ -583,6 +604,11 @@ class MatrixCsvWriter:
                 # context manager still aborts instead of publishing.
                 self._sink.close()
             self._handle.close()
+            if self._digest is not None:
+                with self._temporary.open("rb") as written:
+                    written.seek(self._prefix_bytes)
+                    for block in iter(lambda: written.read(_COPY_BLOCK_BYTES), b""):
+                        self._digest.update(block)
             os.replace(self._temporary, self.path)
 
     def abort(self) -> None:

@@ -38,9 +38,13 @@ Squared values are accumulated through the exact product split
 cross products through the four-term split ``hi_i·hi_j + hi_i·lo_j +
 lo_i·hi_j + lo_i·lo_j`` — so the sums of squares and cross products are the
 exact real sums of per-element, deterministically-rounded terms.  Reading a
-statistic drains the buckets through :class:`fractions.Fraction` arithmetic,
-so the returned mean/variance/covariance is the **correctly rounded** value
-of the exact accumulated rationals.
+statistic drains the buckets with integer arithmetic: ``frexp`` writes every
+bucket value as an int64 mantissa times a power of two, the mantissas are
+shifted onto the smallest exponent of their quantity and summed as Python
+ints, and each quantity's total becomes one exact
+:class:`fractions.Fraction`.  The returned mean/variance/covariance is
+therefore the **correctly rounded** value of the exact accumulated
+rationals.
 
 Because the exact bucket totals are a function of the value *multiset* only:
 
@@ -160,6 +164,36 @@ def _split_pieces(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     hi = np.ldexp(np.rint(mantissa * _SPLIT), exponent - 26)
     lo = values - hi
     return hi, lo
+
+
+def _integer_split(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Write every double as ``mantissa * 2**exponent`` with an int64 mantissa.
+
+    ``frexp`` mantissas lie in ``[0.5, 1)``; scaling by ``2**53`` makes them
+    integers of at most 53 bits (subnormals included), so the split is exact.
+    Zeros (of either sign) get mantissa 0.
+    """
+    mantissa, exponent = np.frexp(values)
+    return (mantissa * 2.0**53).astype(np.int64), exponent.astype(np.int64) - 53
+
+
+def _exact_total(mantissas: np.ndarray, exponents: np.ndarray) -> Fraction:
+    """Exact sum of ``mantissas[k] * 2**exponents[k]`` as one :class:`Fraction`.
+
+    Every term is shifted onto the smallest exponent present and summed as a
+    Python int, so the total is the same rational a term-by-term
+    :class:`Fraction` sum gives, at the cost of one ``Fraction`` construction.
+    """
+    live = mantissas != 0
+    if not live.any():
+        return Fraction(0)
+    mantissas, exponents = mantissas[live], exponents[live]
+    floor = int(exponents.min())
+    shifts = (exponents - floor).tolist()
+    total = int(sum(mantissa << shift for mantissa, shift in zip(mantissas.tolist(), shifts)))
+    if floor >= 0:
+        return Fraction(total << floor)
+    return Fraction(total, 1 << -floor)
 
 
 def _bucket_partials_worker(arrays, start: int, stop: int, *, n_columns: int, cross: bool):
@@ -559,7 +593,7 @@ class StreamingMoments:
             return self._finalized
         if self._count == 0:
             raise ValidationError("StreamingMoments received no rows")
-        buckets = self._buckets
+        mantissas, exponents = _integer_split(self._buckets)
         totals: list = []
         for quantity in range(self._n_quantities):
             if self._poison_nan[quantity] or (
@@ -573,11 +607,7 @@ class StreamingMoments:
             if self._poison_neg[quantity]:
                 totals.append(float("-inf"))
                 continue
-            column = buckets[:, quantity]
-            exact = Fraction(0)
-            for value in column[column != 0.0].tolist():
-                exact += Fraction(value)
-            totals.append(exact)
+            totals.append(_exact_total(mantissas[:, quantity], exponents[:, quantity]))
         self._finalized = totals
         return totals
 

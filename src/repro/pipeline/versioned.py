@@ -38,6 +38,7 @@ its parameters from a bundle's manifest.
 
 from __future__ import annotations
 
+import hashlib
 from collections.abc import Sequence
 from pathlib import Path
 
@@ -79,6 +80,10 @@ __all__ = [
     "open_release",
     "sequential_attack_params",
 ]
+
+
+#: Human names of the two current artifacts, keyed by their manifest prefix.
+_ROLE_NAMES = {"released": "released matrix", "sketches": "sketch state"}
 
 
 def _released_name(version: int) -> str:
@@ -210,20 +215,27 @@ class VersionedReleaseBundle:
             passes += moment_passes
 
             version = 1
-            n_objects, privacy_state, achieved_states, records, privacy = _transform_pass(
-                pipeline,
-                input_path,
+            with MatrixCsvWriter(
                 bundle_dir / _released_name(version),
                 columns,
-                decided,
-                id_column=id_column,
-                chunk_rows=resolved_chunk_rows,
-                carry_ids=has_ids,
+                include_ids=has_ids,
                 float_format=float_format,
-                backend=backend,
-                prior_sketches=None,
-                cache=cache,
-            )
+                codec=pipeline.codec,
+                pipelined=pipeline.pipelined,
+            ) as writer:
+                n_objects, privacy_state, achieved_states, records, privacy = _transform_pass(
+                    pipeline,
+                    input_path,
+                    writer,
+                    columns,
+                    decided,
+                    id_column=id_column,
+                    chunk_rows=resolved_chunk_rows,
+                    carry_ids=has_ids,
+                    backend=backend,
+                    prior_sketches=None,
+                    cache=cache,
+                )
             passes += 1
         finally:
             if cache is not None:
@@ -237,6 +249,7 @@ class VersionedReleaseBundle:
             "achieved": [state_to_jsonable(state) for state in achieved_states],
         }
         write_json_atomic(bundle_dir / _sketches_name(version), sketches)
+        released_sha256 = file_sha256(bundle_dir / _released_name(version))
         manifest = {
             "format": BUNDLE_FORMAT,
             "format_version": BUNDLE_FORMAT_VERSION,
@@ -256,7 +269,7 @@ class VersionedReleaseBundle:
                 "version": version,
                 "total_rows": n_objects,
                 "released_file": _released_name(version),
-                "released_sha256": file_sha256(bundle_dir / _released_name(version)),
+                "released_sha256": released_sha256,
                 "sketches_file": _sketches_name(version),
                 "sketches_sha256": file_sha256(bundle_dir / _sketches_name(version)),
             },
@@ -266,7 +279,7 @@ class VersionedReleaseBundle:
                     "rows": n_objects,
                     "total_rows": n_objects,
                     "input_sha256": file_sha256(input_path),
-                    "released_sha256": file_sha256(bundle_dir / _released_name(version)),
+                    "released_sha256": released_sha256,
                 }
             ],
         }
@@ -288,24 +301,30 @@ class VersionedReleaseBundle:
 
     def verify(self) -> None:
         """Check the current artifacts against their manifest content hashes."""
+        for role in ("released", "sketches"):
+            self._check_hash(role, file_sha256(self._artifact_path(role)))
+
+    def _artifact_path(self, role: str) -> Path:
+        """Path of the current ``"released"`` or ``"sketches"`` artifact; must exist."""
+        file_name = self.manifest["current"][f"{role}_file"]
+        path = self.path / file_name
+        if not path.is_file():
+            raise BundleError(
+                f"bundle {self.path} is missing its {_ROLE_NAMES[role]} {file_name}; the "
+                "bundle is torn (or another writer advanced it — re-open and retry)"
+            )
+        return path
+
+    def _check_hash(self, role: str, actual: str) -> None:
+        """Refuse a current artifact whose content hash is not the manifest's."""
         current = self.manifest["current"]
-        for role, file_name, expected in (
-            ("released matrix", current["released_file"], current["released_sha256"]),
-            ("sketch state", current["sketches_file"], current["sketches_sha256"]),
-        ):
-            path = self.path / file_name
-            if not path.is_file():
-                raise BundleError(
-                    f"bundle {self.path} is missing its {role} {file_name}; the "
-                    "bundle is torn (or another writer advanced it — re-open and retry)"
-                )
-            actual = file_sha256(path)
-            if actual != expected:
-                raise BundleError(
-                    f"bundle {self.path}: content hash of {file_name} does not match "
-                    f"the manifest (expected {expected[:12]}…, got {actual[:12]}…); "
-                    "the bundle is torn or was modified outside the release tooling"
-                )
+        file_name, expected = current[f"{role}_file"], current[f"{role}_sha256"]
+        if actual != expected:
+            raise BundleError(
+                f"bundle {self.path}: content hash of {file_name} does not match "
+                f"the manifest (expected {expected[:12]}…, got {actual[:12]}…); "
+                "the bundle is torn or was modified outside the release tooling"
+            )
 
     # ------------------------------------------------------------------ #
     # Appending
@@ -323,12 +342,18 @@ class VersionedReleaseBundle:
     ) -> StreamingReleaseReport:
         """Stream ``new_rows`` through the frozen policy into version K+1.
 
-        Only the new rows are read; the released CSV grows by exactly their
-        transformed bytes and the persisted sketches absorb their moment
-        contributions.  The result is byte-identical to the frozen-policy
-        from-scratch replay of the concatenated feed
+        Only the new rows are transformed; the released CSV grows by exactly
+        their transformed bytes and the persisted sketches absorb their
+        moment contributions.  The result is byte-identical to the
+        frozen-policy from-scratch replay of the concatenated feed
         (:meth:`reference_pipeline`), for any append schedule, chunk size
         and backend.
+
+        The prior release is read once: the same pass that copies it into
+        version K+1 hashes it, and the hash must match the manifest before
+        any new row is written (so the verified bytes are the copied bytes).
+        The new release's hash continues that digest over the appended bytes
+        only.  The checks and their messages are those of :meth:`verify`.
         """
         if expected_version is not None and self.version != expected_version:
             raise BundleError(
@@ -336,32 +361,16 @@ class VersionedReleaseBundle:
                 f"expected {expected_version}; re-open the bundle (another writer may "
                 "have appended) and retry"
             )
-        self.verify()
         new_rows = Path(new_rows)
-        new_columns, new_has_ids = read_matrix_csv_header(new_rows, id_column=self.id_column)
-        if tuple(new_columns) != self.columns:
-            raise BundleError(
-                f"schema drift: bundle {self.path} was created with columns "
-                f"{list(self.columns)} but {new_rows} has columns {list(new_columns)}; "
-                "appended files must ship the exact same header, in the same order"
-            )
-        if bool(new_has_ids) != self.carry_ids:
-            expected_header = "an id column" if self.carry_ids else "no id column"
-            raise BundleError(
-                f"schema drift: bundle {self.path} carries {expected_header} but "
-                f"{new_rows} does not match; appended files must keep the id layout "
-                "of the original feed"
-            )
-
+        self._check_schema(new_rows)
         columns = self.columns
         resolved_chunk_rows = resolve_chunk_rows(
             len(columns), chunk_rows=chunk_rows, memory_budget_bytes=memory_budget_bytes
         )
-        normalizer = normalizer_from_payload(self.manifest["normalizer"])
         decided = plan_from_payload(self.manifest["plan"])
         pipeline = StreamingReleasePipeline(
             self._frozen_rbt(decided),
-            normalizer=normalizer,
+            normalizer=normalizer_from_payload(self.manifest["normalizer"]),
             chunk_rows=resolved_chunk_rows,
             ddof=int(self.manifest["ddof"]),
             backend=backend,
@@ -369,22 +378,32 @@ class VersionedReleaseBundle:
             codec=codec,
             pipelined=pipelined,
         )
-        sketches = self._load_sketches()
         version = self.version + 1
-        delta_rows, privacy_state, achieved_states, records, privacy = _transform_pass(
-            pipeline,
-            new_rows,
+        digest = hashlib.sha256()
+        with MatrixCsvWriter(
             self.path / _released_name(version),
             columns,
-            decided,
-            id_column=self.id_column,
-            chunk_rows=resolved_chunk_rows,
-            carry_ids=self.carry_ids,
+            include_ids=self.carry_ids,
             float_format=self.manifest["float_format"],
-            backend=backend,
-            prior_sketches=sketches,
-            append_from=self.released_path,
-        )
+            append_from=self._artifact_path("released"),
+            digest=digest,
+            codec=pipeline.codec,
+            pipelined=pipeline.pipelined,
+        ) as writer:
+            self._check_hash("released", digest.hexdigest())
+            self._check_hash("sketches", file_sha256(self._artifact_path("sketches")))
+            delta_rows, privacy_state, achieved_states, records, privacy = _transform_pass(
+                pipeline,
+                new_rows,
+                writer,
+                columns,
+                decided,
+                id_column=self.id_column,
+                chunk_rows=resolved_chunk_rows,
+                carry_ids=self.carry_ids,
+                backend=backend,
+                prior_sketches=self._load_sketches(),
+            )
         total_rows = self.total_rows + delta_rows
 
         new_sketches = {
@@ -401,7 +420,7 @@ class VersionedReleaseBundle:
             "version": version,
             "total_rows": total_rows,
             "released_file": _released_name(version),
-            "released_sha256": file_sha256(self.path / _released_name(version)),
+            "released_sha256": digest.hexdigest(),
             "sketches_file": _sketches_name(version),
             "sketches_sha256": file_sha256(self.path / _sketches_name(version)),
         }
@@ -428,6 +447,23 @@ class VersionedReleaseBundle:
             chunk_rows=resolved_chunk_rows,
             n_passes=1,
         )
+
+    def _check_schema(self, new_rows: Path) -> None:
+        """Refuse an appended file whose header drifts from the bundle's."""
+        new_columns, new_has_ids = read_matrix_csv_header(new_rows, id_column=self.id_column)
+        if tuple(new_columns) != self.columns:
+            raise BundleError(
+                f"schema drift: bundle {self.path} was created with columns "
+                f"{list(self.columns)} but {new_rows} has columns {list(new_columns)}; "
+                "appended files must ship the exact same header, in the same order"
+            )
+        if bool(new_has_ids) != self.carry_ids:
+            expected_header = "an id column" if self.carry_ids else "no id column"
+            raise BundleError(
+                f"schema drift: bundle {self.path} carries {expected_header} but "
+                f"{new_rows} does not match; appended files must keep the id layout "
+                "of the original feed"
+            )
 
     # ------------------------------------------------------------------ #
     # Frozen-policy replay and reporting
@@ -517,20 +553,18 @@ class VersionedReleaseBundle:
 def _transform_pass(
     pipeline: StreamingReleasePipeline,
     input_path: Path,
-    output_path: Path,
+    writer: MatrixCsvWriter,
     columns: Sequence[str],
     decided,
     *,
     id_column: str | None,
     chunk_rows: int,
     carry_ids: bool,
-    float_format: str | None,
     backend,
     prior_sketches: dict | None,
-    append_from: Path | None = None,
     cache=None,
 ):
-    """Normalize + rotate one file into ``output_path``; fold + report evidence.
+    """Normalize + rotate one file into the open ``writer``; fold + report evidence.
 
     With ``prior_sketches`` the fresh accumulators absorb the persisted
     states first, so the drained evidence covers the whole feed — the merge
@@ -551,23 +585,14 @@ def _transform_pass(
             accumulator._merge_state(state_from_jsonable(state))
     column_index = {name: position for position, name in enumerate(columns)}
     n_rows = 0
-    with MatrixCsvWriter(
-        output_path,
-        columns,
-        include_ids=carry_ids,
-        float_format=float_format,
-        append_from=append_from,
-        codec=pipeline.codec,
-        pipelined=pipeline.pipelined,
-    ) as writer:
-        for chunk, ids in pipeline._pass_chunks(input_path, id_column, chunk_rows, None, cache=cache):
-            normalized = pipeline.normalizer.transform(chunk)
-            current = apply_decided_rotations(
-                normalized.copy(), decided, column_index, achieved_moments
-            )
-            privacy_moments.update(np.hstack((normalized, current, normalized - current)))
-            writer.write_rows(current, ids=ids if carry_ids else None)
-            n_rows += chunk.shape[0]
+    for chunk, ids in pipeline._pass_chunks(input_path, id_column, chunk_rows, None, cache=cache):
+        normalized = pipeline.normalizer.transform(chunk)
+        current = apply_decided_rotations(
+            normalized.copy(), decided, column_index, achieved_moments
+        )
+        privacy_moments.update(np.hstack((normalized, current, normalized - current)))
+        writer.write_rows(current, ids=ids if carry_ids else None)
+        n_rows += chunk.shape[0]
     # Export the sketch states *before* draining statistics: a drained
     # accumulator refuses to export (its exactness guarantee has been spent).
     privacy_state = privacy_moments.state()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -368,6 +370,42 @@ class TestMatrixCsvWriter:
         with MatrixCsvWriter(tmp_path / "w2.csv", ["a"]) as writer:
             with pytest.raises(SerializationError, match="include_ids=False"):
                 writer.write_rows(np.zeros((2, 1)), ids=["x", "y"])
+
+    @pytest.mark.parametrize(
+        ("codec", "pipelined"), [("fast", False), ("fast", True), ("python", False)]
+    )
+    def test_append_from_digest_covers_prefix_then_published_file(
+        self, tmp_path, codec, pipelined
+    ):
+        rng = np.random.default_rng(9)
+        values = rng.normal(size=(30, 2))
+        ids = [f"i{i}" for i in range(30)]
+        one_shot = tmp_path / "one.csv"
+        with MatrixCsvWriter(one_shot, ["x", "y"], include_ids=True) as writer:
+            writer.write_rows(values, ids=ids)
+        prior = tmp_path / "prior.csv"
+        with MatrixCsvWriter(prior, ["x", "y"], include_ids=True) as writer:
+            writer.write_rows(values[:12], ids=ids[:12])
+
+        digest = hashlib.sha256()
+        with MatrixCsvWriter(
+            prior,
+            ["x", "y"],
+            include_ids=True,
+            append_from=prior,
+            digest=digest,
+            codec=codec,
+            pipelined=pipelined,
+        ) as writer:
+            assert digest.hexdigest() == hashlib.sha256(prior.read_bytes()).hexdigest()
+            writer.write_rows(values[12:], ids=ids[12:])
+        assert prior.read_bytes() == one_shot.read_bytes()
+        assert digest.hexdigest() == hashlib.sha256(one_shot.read_bytes()).hexdigest()
+
+    def test_missing_append_from_leaves_no_temporary(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            MatrixCsvWriter(tmp_path / "out.csv", ["a"], append_from=tmp_path / "absent.csv")
+        assert list(tmp_path.iterdir()) == []
 
     def test_write_after_close_rejected(self, tmp_path):
         writer = MatrixCsvWriter(tmp_path / "w.csv", ["a"])

@@ -10,8 +10,14 @@ are covered individually as well.
 
 from __future__ import annotations
 
+import json
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.core import RBT, RBTSecret
 from repro.data import DataMatrix
@@ -19,7 +25,13 @@ from repro.data.io import matrix_from_csv, matrix_to_csv
 from repro.exceptions import ValidationError
 from repro.perf.analytic import pair_moments
 from repro.perf.backends import ProcessPoolBackend
-from repro.perf.streaming import STREAM_TILE_ROWS, StreamingMoments, streamed_pair_moments
+from repro.perf.streaming import (
+    STREAM_TILE_ROWS,
+    StreamingMoments,
+    state_from_jsonable,
+    state_to_jsonable,
+    streamed_pair_moments,
+)
 from repro.pipeline import StreamingReleasePipeline, resolve_chunk_rows, stream_invert
 from repro.preprocessing import (
     DecimalScalingNormalizer,
@@ -191,6 +203,118 @@ class TestStreamingMoments:
         accumulator = StreamingMoments(2).update(rng.normal(size=(5, 2)))
         with pytest.raises(ValidationError, match="cross=True"):
             accumulator.covariance(0, 1)
+
+
+def _fraction_drain(accumulator: StreamingMoments) -> list:
+    """The drain oracle: every bucket value added as its own :class:`Fraction`.
+
+    This is the straightforward exact sum the integer drain in
+    :meth:`StreamingMoments._drain` must reproduce, poison channel included.
+    """
+    totals: list = []
+    for quantity in range(accumulator._n_quantities):
+        nan = accumulator._poison_nan[quantity]
+        pos = accumulator._poison_pos[quantity]
+        neg = accumulator._poison_neg[quantity]
+        if nan or (pos and neg):
+            totals.append(float("nan"))
+        elif pos:
+            totals.append(float("inf"))
+        elif neg:
+            totals.append(float("-inf"))
+        else:
+            column = accumulator._buckets[:, quantity]
+            exact = Fraction(0)
+            for value in column[column != 0.0].tolist():
+                exact += Fraction(value)
+            totals.append(exact)
+    return totals
+
+
+def _same_totals(left: list, right: list) -> bool:
+    """Exact rationals equal and of the same type; poison floats equal (nan == nan)."""
+    if len(left) != len(right):
+        return False
+    return all(type(a) is type(b) and (a == b or (a != a and b != b)) for a, b in zip(left, right))
+
+
+def _statistics_bytes(accumulator: StreamingMoments) -> bytes:
+    """Every statistic of a 3-column cross accumulator, as raw float64 bytes."""
+    parts = [accumulator.means(), accumulator.variances(ddof=0), accumulator.variances(ddof=1)]
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        parts.append(np.array([accumulator.covariance(i, j, ddof=1)]))
+        parts.append(np.array(accumulator.pair_moments(i, j, ddof=1)))
+    return b"".join(np.asarray(part, dtype=np.float64).tobytes() for part in parts)
+
+
+#: Any finite double, subnormals and both zeros included (5 quantities:
+#: two column sums, two sums of squares, one cross sum).
+_ANY_DOUBLE = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+
+
+class TestIntegerDrain:
+    """The integer drain equals the term-by-term :class:`Fraction` oracle."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        values=arrays(np.float64, st.tuples(st.integers(1, 12), st.just(5)), elements=_ANY_DOUBLE),
+        cancel=st.booleans(),
+        first_bucket=st.integers(0, 2000),
+        count=st.integers(1, 10**6),
+        poison=st.lists(
+            st.sampled_from(["", "", "", "nan", "pos", "neg", "pos+neg"]), min_size=5, max_size=5
+        ),
+    )
+    def test_drain_matches_fraction_oracle(self, values, cancel, first_bucket, count, poison):
+        # A hand-built state reaches bucket contents that deposits alone
+        # never produce: subnormals, ±0.0, magnitudes up to the largest
+        # double, and (with ``cancel``) columns whose exact sum is 0.
+        if cancel:
+            values = np.vstack((values, -values[::-1]))
+        n_rows = values.shape[0]
+        accumulator = StreamingMoments.from_state(
+            {
+                "format": 1,
+                "n_columns": 2,
+                "cross": True,
+                "count": count,
+                "deposits": 0,
+                "bucket_indices": np.arange(first_bucket, first_bucket + n_rows),
+                "bucket_values": values,
+                "poison_nan": np.array(["nan" in kind for kind in poison], dtype=np.int64),
+                "poison_pos": np.array(["pos" in kind for kind in poison], dtype=np.int64),
+                "poison_neg": np.array(["neg" in kind for kind in poison], dtype=np.int64),
+            }
+        )
+        expected = _fraction_drain(accumulator)
+        drained = accumulator._drain()
+        assert _same_totals(drained, expected)
+        if cancel:
+            assert all(total == 0 for total in drained if isinstance(total, Fraction))
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        rows=arrays(
+            np.float64,
+            st.tuples(st.integers(2, 40), st.just(3)),
+            elements=st.floats(-1e6, 1e6, allow_subnormal=True),
+        ),
+        scale=st.integers(-1060, 180),
+        cancel=st.booleans(),
+    )
+    def test_statistics_survive_the_json_round_trip(self, rows, scale, cancel):
+        rows = np.ldexp(rows, scale)
+        if cancel:
+            rows = np.vstack((rows, -rows))
+        accumulator = StreamingMoments(3, cross=True).update(rows)
+        payload = json.loads(json.dumps(state_to_jsonable(accumulator.state())))
+        rebuilt = StreamingMoments.from_state(state_from_jsonable(payload))
+
+        assert _same_totals(accumulator._drain(), _fraction_drain(accumulator))
+        assert _same_totals(rebuilt._drain(), _fraction_drain(rebuilt))
+        assert _statistics_bytes(rebuilt) == _statistics_bytes(accumulator)
+        if cancel:
+            assert not accumulator.means().any()
 
 
 class TestStreamedNormalizerFits:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from repro.perf.streaming import (
     state_to_jsonable,
 )
 from repro.pipeline.audit import AttackSuite, builtin_threat_model
+from repro.pipeline.bundle_format import file_sha256
 from repro.pipeline.versioned import (
     append_release,
     create_release,
@@ -270,6 +272,97 @@ class TestCrashSafety:
         )
         leftovers = [entry.name for entry in bundle.path.iterdir() if ".tmp" in entry.name]
         assert leftovers == []
+
+
+class TestAppendIntegrity:
+    """An append reads the prior release once and checks it like verify() does."""
+
+    def _two_version_bundle(self, feed, tmp_path):
+        _, matrix = feed
+        slices = _write_slices(matrix, (120, 60, 60), tmp_path)
+        bundle, _ = create_release(
+            slices[0], tmp_path / "bundle", rbt=RBT(thresholds=0.3, random_state=5)
+        )
+        append_release(bundle, slices[1])
+        return bundle, slices[2]
+
+    def test_modified_prior_release_is_refused_before_any_row_is_written(self, feed, tmp_path):
+        bundle, delta = self._two_version_bundle(feed, tmp_path)
+        data = bytearray(bundle.released_path.read_bytes())
+        data[len(data) // 2] ^= 0x01
+        bundle.released_path.write_bytes(bytes(data))
+        with pytest.raises(BundleError, match="torn or was modified") as from_verify:
+            bundle.verify()
+        with pytest.raises(BundleError, match="torn or was modified") as from_append:
+            bundle.append(delta)
+        assert str(from_append.value) == str(from_verify.value)
+        names = sorted(entry.name for entry in bundle.path.iterdir())
+        assert names == ["manifest.json", "released-v0002.csv", "sketches-v0002.json"]
+        assert bundle.version == open_release(bundle.path).version == 2
+
+    def test_missing_prior_release_reports_like_verify(self, feed, tmp_path):
+        bundle, delta = self._two_version_bundle(feed, tmp_path)
+        bundle.released_path.unlink()
+        with pytest.raises(BundleError, match="missing its released matrix") as from_verify:
+            bundle.verify()
+        with pytest.raises(BundleError, match="missing its released matrix") as from_append:
+            bundle.append(delta)
+        assert str(from_append.value) == str(from_verify.value)
+        assert bundle.version == 2
+        assert not any(".tmp" in entry.name for entry in bundle.path.iterdir())
+        assert not (bundle.path / "released-v0003.csv").exists()
+
+    @pytest.mark.parametrize(
+        ("chunk_rows", "codec", "pipelined"),
+        [(1, None, False), (7, None, True), (None, None, False), (7, "python", False)],
+        ids=["chunk1", "chunk7-pipelined", "default", "python-lane"],
+    )
+    def test_manifest_hash_is_the_published_files_hash(
+        self, feed, tmp_path, chunk_rows, codec, pipelined
+    ):
+        full, matrix = feed
+        slices = _write_slices(matrix, (100, 1, 39, 100), tmp_path)
+        bundle, _ = create_release(
+            slices[0],
+            tmp_path / "bundle",
+            rbt=RBT(thresholds=0.3, random_state=5),
+            chunk_rows=chunk_rows,
+            codec=codec,
+            pipelined=pipelined,
+        )
+        for path in slices[1:]:
+            append_release(bundle, path, chunk_rows=chunk_rows, codec=codec, pipelined=pipelined)
+            current = bundle.manifest["current"]
+            assert current["released_sha256"] == file_sha256(bundle.released_path)
+            assert bundle.manifest["versions"][-1]["released_sha256"] == current["released_sha256"]
+            open_release(bundle.path).verify()
+        reference = tmp_path / "reference.csv"
+        bundle.reference_pipeline().run(full, reference)
+        assert bundle.released_path.read_bytes() == reference.read_bytes()
+
+    def test_prior_release_is_neither_rehashed_nor_copied(self, feed, tmp_path, monkeypatch):
+        bundle, delta = self._two_version_bundle(feed, tmp_path)
+        import repro.pipeline.bundle_format as bundle_format_module
+        import repro.pipeline.versioned as versioned_module
+
+        touched: list[str] = []
+
+        def spy(original):
+            def wrapper(path, *args, **kwargs):
+                touched.append(str(path))
+                return original(path, *args, **kwargs)
+
+            return wrapper
+
+        for module in (bundle_format_module, versioned_module):
+            monkeypatch.setattr(module, "file_sha256", spy(module.file_sha256))
+        monkeypatch.setattr(shutil, "copyfile", spy(shutil.copyfile))
+        bundle.append(delta)
+        monkeypatch.undo()
+
+        assert touched, "the spies saw no call at all"
+        assert not [path for path in touched if "released-" in path]
+        bundle.verify()
 
 
 class TestStateJsonRoundTrip:
