@@ -12,10 +12,12 @@ Two access styles are provided for matrix CSVs:
 * **Streamed** — :func:`iter_matrix_csv` yields :class:`MatrixCsvChunk` row
   blocks under a configurable ``chunk_rows``, and :class:`MatrixCsvWriter`
   appends row blocks incrementally; together they let the release pipeline
-  process datasets that never fit in memory.  The materialized functions are
-  thin wrappers over the streamed ones, so both paths share one parser, one
-  validator and one value formatter — a matrix written chunk-by-chunk is
-  byte-identical to the same matrix written in one call.
+  process datasets that never fit in memory (:class:`MatrixPasses` serves
+  readers that pass over one file several times but parse it once).  The
+  materialized functions are thin wrappers over the streamed ones, so both
+  paths share one parser, one validator and one value formatter — a matrix
+  written chunk-by-chunk is byte-identical to the same matrix written in
+  one call.
 
 Float values are serialized with the shortest round-tripping representation
 (:func:`repr`) by default, so a write → read cycle restores every value
@@ -63,6 +65,7 @@ __all__ = [
     "read_matrix_csv_header",
     "MatrixCsvChunk",
     "MatrixCsvWriter",
+    "MatrixPasses",
     "format_value",
     "DEFAULT_CHUNK_ROWS",
 ]
@@ -341,6 +344,67 @@ def iter_matrix_csv(
     if prefetch is not None:
         chunks = prefetch_chunks(chunks, depth=prefetch)
     return chunks
+
+
+class MatrixPasses:
+    """Repeated full passes over one matrix CSV that parse its text once.
+
+    Each :meth:`chunks` call is one full pass yielding ``(values, ids)``
+    blocks.  The first pass that runs to its end tees the decoded blocks into
+    a :class:`~repro.perf.csv_codec.DecodedChunkCache` and later passes replay
+    the identical doubles and ids instead of parsing again; a pass abandoned
+    early or failing leaves the cache incomplete, so the next one re-parses.
+    Passes run one at a time.  Single-pass readers call
+    :func:`iter_matrix_csv` directly and never spill.
+
+    ``kept_indices`` selects value columns before they are spilled;
+    ``ids=False`` yields ``None`` ids for readers that never use them.  The
+    other ``options`` go to :func:`iter_matrix_csv`.  Use as a context
+    manager: leaving it removes the spill directory, which is created when
+    the first pass starts.
+    """
+
+    def __init__(
+        self,
+        path: str | Path,
+        *,
+        kept_indices: Sequence[int] | None = None,
+        ids: bool = True,
+        **options,
+    ) -> None:
+        self.path = Path(path)
+        self._kept_indices = None if kept_indices is None else list(kept_indices)
+        self._ids = bool(ids)
+        self._options = options
+        self._cache = None
+
+    def chunks(self) -> Iterator[tuple[np.ndarray, tuple | None]]:
+        """One full pass over the file as ``(values, ids)`` blocks."""
+        from ..perf.csv_codec import DecodedChunkCache
+
+        if self._cache is None:
+            self._cache = DecodedChunkCache()
+        if self._cache.complete:
+            return self._cache.replay()
+        return self._cache.tee(self._parse())
+
+    def _parse(self) -> Iterator[tuple[np.ndarray, tuple | None]]:
+        for chunk in iter_matrix_csv(self.path, **self._options):
+            values = chunk.values
+            if self._kept_indices is not None:
+                values = values[:, self._kept_indices]
+            yield values, chunk.ids if self._ids else None
+
+    def close(self) -> None:
+        """Remove the spill directory (idempotent)."""
+        if self._cache is not None:
+            self._cache.close()
+
+    def __enter__(self) -> MatrixPasses:
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
 
 
 def _validated_chunk_rows(chunk_rows: int) -> int:

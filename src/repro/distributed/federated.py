@@ -52,8 +52,8 @@ merged moments — the quantities the paper's owner publishes anyway.
 from __future__ import annotations
 
 import time
-from collections.abc import Iterator, Sequence
-from contextlib import contextmanager
+from collections.abc import Sequence
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -64,6 +64,7 @@ from ..core import RBT
 from ..data.io import (
     DEFAULT_CHUNK_ROWS,
     MatrixCsvWriter,
+    MatrixPasses,
     iter_matrix_csv,
     read_matrix_csv_header,
 )
@@ -243,13 +244,25 @@ class ShardParty:
         self.all_columns, self.has_ids = read_matrix_csv_header(self.path, id_column=id_column)
         self.ledger = ledger
         self.codec = codec
-        self._kept_indices: list[int] | None = None
-        self._chunk_rows = DEFAULT_CHUNK_ROWS
+        self.configure(None, DEFAULT_CHUNK_ROWS)
 
-    def configure(self, kept_indices: list[int] | None, chunk_rows: int) -> None:
-        """Set the column selection and streaming chunk size for this run."""
-        self._kept_indices = kept_indices
-        self._chunk_rows = check_integer_in_range(chunk_rows, name="chunk_rows", minimum=1)
+    def configure(self, kept_indices: list[int] | None, chunk_rows: int) -> MatrixPasses:
+        """Set the column selection and streaming chunk size for this run.
+
+        Returns the run's pass source over the shard: the first protocol
+        round parses the shard and the later rounds replay the decoded
+        blocks.  Close it (it is a context manager) when the run ends.
+        """
+        # allow_empty: a shard that received zero rows is a legitimate party.
+        self._passes = MatrixPasses(
+            self.path,
+            chunk_rows=check_integer_in_range(chunk_rows, name="chunk_rows", minimum=1),
+            id_column=self._id_column,
+            codec=self.codec,
+            kept_indices=kept_indices,
+            allow_empty=True,
+        )
+        return self._passes
 
     @contextmanager
     def _timed(self):
@@ -260,27 +273,13 @@ class ShardParty:
             if self.ledger is not None:
                 self.ledger.add_party_seconds(self.name, time.perf_counter() - started)
 
-    def _chunks(self) -> Iterator[tuple[np.ndarray, tuple | None]]:
-        # allow_empty: a shard that received zero rows is a legitimate party.
-        for chunk in iter_matrix_csv(
-            self.path,
-            chunk_rows=self._chunk_rows,
-            id_column=self._id_column,
-            allow_empty=True,
-            codec=self.codec,
-        ):
-            values = chunk.values
-            if self._kept_indices is not None:
-                values = values[:, self._kept_indices]
-            yield values, chunk.ids
-
     # -- protocol steps (each streams the shard once, locally) ----------- #
     def fit_state(self, normalizer: Normalizer, n_columns: int) -> tuple[dict, int]:
         """Stream the shard through the normalizer's fitter; return its state."""
         with self._timed():
             fitter = normalizer._stream_fitter(n_columns)
             n_rows = 0
-            for values, _ in self._chunks():
+            for values, _ in self._passes.chunks():
                 if values.shape[0]:
                     fitter.update(values)
                     n_rows += values.shape[0]
@@ -290,7 +289,7 @@ class ShardParty:
         """Width-n cross-moment sketch of the normalized shard."""
         with self._timed():
             accumulator = StreamingMoments(n_columns, cross=True)
-            for values, _ in self._chunks():
+            for values, _ in self._passes.chunks():
                 if values.shape[0]:
                     accumulator.update(normalizer.transform(values))
             return accumulator.state()
@@ -307,7 +306,7 @@ class ShardParty:
             accumulators = {
                 position: StreamingMoments(2, cross=True) for position in positions
             }
-            for values, _ in self._chunks():
+            for values, _ in self._passes.chunks():
                 if not values.shape[0]:
                     continue
                 current = normalizer.transform(values)
@@ -342,7 +341,7 @@ class ShardParty:
             privacy_moments = StreamingMoments(3 * n_columns)
             achieved_moments = [StreamingMoments(2) for _ in decided]
             n_rows = 0
-            for values, ids in self._chunks():
+            for values, ids in self._passes.chunks():
                 if not values.shape[0]:
                     continue
                 normalized = normalizer.transform(values)
@@ -514,8 +513,6 @@ class DistributedReleasePipeline:
             chunk_rows=self.chunk_rows,
             memory_budget_bytes=self.memory_budget_bytes,
         )
-        for party in parties:
-            party.configure(kept_indices, chunk_rows)
         carry_ids = first.has_ids and not (
             self.suppressor is not None and self.suppressor.drop_object_ids
         )
@@ -523,71 +520,77 @@ class DistributedReleasePipeline:
         coordinator = parties[0].name
         passes = 0
 
-        # ---- Fit round: local fitter states, merged without raw rows.
-        template = self.normalizer._stream_fitter(len(columns))
-        fit_states = [
-            (party.name, party.fit_state(self.normalizer, len(columns)))
-            for party in parties
-        ]
-        n_rows_total = int(sum(rows for _, (_, rows) in fit_states))
-        if isinstance(template, StreamingMoments):
-            merged = aggregator.aggregate_states(
-                [(name, state) for name, (state, _) in fit_states],
-                label="sketch/normalizer-fit",
-            )
-            fitter = StreamingMoments.from_state(merged)
-        else:
-            # Extrema are not additively maskable; the per-shard min/max
-            # travel in the clear (they bound, but do not expose, rows).
-            fitter = template
-            for name, (state, _) in fit_states:
-                if name != coordinator:
-                    ledger.record(
-                        name,
-                        coordinator,
-                        int(sum(np.asarray(v).size for v in state.values() if v is not None)) + 1,
-                        label="fit/extrema",
-                    )
-                fitter.merge_state(state)
-        self.normalizer._finish_stream_fit(fitter, n_rows=n_rows_total)
-        self.normalizer._n_attributes = len(columns)
-        passes += 1
-        # Broadcast the fitted parameters so each party can normalize locally.
-        for party in parties[1:]:
-            ledger.record(
-                coordinator, party.name, 2 * len(columns), label="fit/normalizer-params"
-            )
-
-        # ---- Planning rounds: the shared planner on secure-merged moments.
-        moment_source = _DistributedMomentSource(parties, self.normalizer, columns, aggregator)
-        decided, moment_passes = plan_rotations(self.rbt, columns, moment_source)
-        passes += moment_passes
-
-        # ---- Transform round: every party releases its own rows, in order.
-        column_index = {name: position for position, name in enumerate(columns)}
-        for party in parties[1:]:
-            ledger.record(
-                coordinator, party.name, 4 * len(decided), label="plan/transform-pass"
-            )
-        party_rows: list[int] = []
-        privacy_states: list[tuple[str, dict]] = []
-        achieved_states: list[tuple[str, list[dict]]] = []
-        with MatrixCsvWriter(
-            output_path,
-            columns,
-            include_ids=carry_ids,
-            float_format=float_format,
-            codec=self.codec,
-            pipelined=self.pipelined,
-        ) as writer:
+        # Each party parses its shard once; the planning and transform rounds
+        # replay the decoded blocks.  Leaving the block removes every spill.
+        with ExitStack() as parties_open:
             for party in parties:
-                rows, privacy_state, achieved = party.transform_and_write(
-                    self.normalizer, decided, column_index, writer, carry_ids
+                parties_open.enter_context(party.configure(kept_indices, chunk_rows))
+
+            # ---- Fit round: local fitter states, merged without raw rows.
+            template = self.normalizer._stream_fitter(len(columns))
+            fit_states = [
+                (party.name, party.fit_state(self.normalizer, len(columns)))
+                for party in parties
+            ]
+            n_rows_total = int(sum(rows for _, (_, rows) in fit_states))
+            if isinstance(template, StreamingMoments):
+                merged = aggregator.aggregate_states(
+                    [(name, state) for name, (state, _) in fit_states],
+                    label="sketch/normalizer-fit",
                 )
-                party_rows.append(rows)
-                privacy_states.append((party.name, privacy_state))
-                achieved_states.append((party.name, achieved))
-        passes += 1
+                fitter = StreamingMoments.from_state(merged)
+            else:
+                # Extrema are not additively maskable; the per-shard min/max
+                # travel in the clear (they bound, but do not expose, rows).
+                fitter = template
+                for name, (state, _) in fit_states:
+                    if name != coordinator:
+                        n_values = int(
+                            sum(np.asarray(v).size for v in state.values() if v is not None)
+                        )
+                        ledger.record(name, coordinator, n_values + 1, label="fit/extrema")
+                    fitter.merge_state(state)
+            self.normalizer._finish_stream_fit(fitter, n_rows=n_rows_total)
+            self.normalizer._n_attributes = len(columns)
+            passes += 1
+            # Broadcast the fitted parameters so each party can normalize locally.
+            for party in parties[1:]:
+                ledger.record(
+                    coordinator, party.name, 2 * len(columns), label="fit/normalizer-params"
+                )
+
+            # ---- Planning rounds: the shared planner on secure-merged moments.
+            moment_source = _DistributedMomentSource(
+                parties, self.normalizer, columns, aggregator
+            )
+            decided, moment_passes = plan_rotations(self.rbt, columns, moment_source)
+            passes += moment_passes
+
+            # ---- Transform round: every party releases its own rows, in order.
+            column_index = {name: position for position, name in enumerate(columns)}
+            for party in parties[1:]:
+                ledger.record(
+                    coordinator, party.name, 4 * len(decided), label="plan/transform-pass"
+                )
+            party_rows: list[int] = []
+            privacy_states: list[tuple[str, dict]] = []
+            achieved_states: list[tuple[str, list[dict]]] = []
+            with MatrixCsvWriter(
+                output_path,
+                columns,
+                include_ids=carry_ids,
+                float_format=float_format,
+                codec=self.codec,
+                pipelined=self.pipelined,
+            ) as writer:
+                for party in parties:
+                    rows, privacy_state, achieved = party.transform_and_write(
+                        self.normalizer, decided, column_index, writer, carry_ids
+                    )
+                    party_rows.append(rows)
+                    privacy_states.append((party.name, privacy_state))
+                    achieved_states.append((party.name, achieved))
+            passes += 1
 
         privacy_moments = StreamingMoments.from_state(
             aggregator.aggregate_states(privacy_states, label="sketch/privacy")

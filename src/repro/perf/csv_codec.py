@@ -25,10 +25,12 @@ seam of :func:`repro.data.io.iter_matrix_csv` and
   chunks.  Both preserve order structurally, so the bitwise chunk-invariance
   and serial≡parallel contracts are untouched.
 * **Decoded-chunk spill cache** — :class:`DecodedChunkCache` spills the
-  decoded float blocks (and ids) of the first pass to a binary scratch file;
-  the multi-pass release pipeline replays later passes from it instead of
-  re-parsing CSV text.  Replay returns the identical doubles, so every
-  downstream statistic and released byte is unchanged.
+  decoded float blocks (and ids) of the first pass to a binary scratch file
+  and replays later passes from it instead of re-parsing CSV text.  Every
+  multi-pass command — the streamed release and bundle creation, the
+  streamed audit, each federated party — reaches it through
+  :class:`repro.data.io.MatrixPasses`.  Replay returns the identical
+  doubles, so every downstream statistic and released byte is unchanged.
 
 The python codec remains the cross-check oracle: for every input, the fast
 lane either produces bitwise-identical chunks (and byte-identical encoded
@@ -46,6 +48,7 @@ import re
 import shutil
 import tempfile
 import threading
+import weakref
 from collections.abc import Iterable, Iterator, Sequence
 from io import StringIO
 from pathlib import Path
@@ -569,21 +572,23 @@ class PipelinedTextSink:
 class DecodedChunkCache:
     """Spill decoded ``(values, ids)`` blocks so later passes skip the parse.
 
-    The multi-pass streaming release reads its input CSV once per pass; with
-    the fast codec the first pass tees every decoded block into a binary
-    scratch file (raw float64 bytes plus pickled ids) and subsequent passes
-    replay from it.  Replay restores the identical doubles and id strings,
-    so statistics, planning and released bytes are unchanged — the cache is
-    purely an I/O-cost optimization.  The scratch file is process-local and
-    removed by :meth:`close`; an interrupted first pass leaves the cache
-    incomplete and later passes fall back to re-streaming the CSV.
+    :class:`repro.data.io.MatrixPasses` tees the first full pass of every
+    multi-pass command into this binary scratch file (raw float64 bytes plus
+    pickled ids) and replays the later passes from it, in either codec lane.
+    Replay restores the identical doubles and id strings, so statistics,
+    reports and released bytes are unchanged.  The scratch directory is
+    process-local and removed by :meth:`close` (or when the cache is garbage
+    collected); an interrupted tee leaves the cache incomplete.
     """
 
     def __init__(self) -> None:
         self._directory = tempfile.mkdtemp(prefix="repro-csv-spill-")
+        self._remove = weakref.finalize(
+            self, shutil.rmtree, self._directory, ignore_errors=True
+        )
         self._values_path = os.path.join(self._directory, "values.f64")
         self._ids_path = os.path.join(self._directory, "ids.pkl")
-        self._chunks: list[int] = []
+        self._chunks: list[tuple[int, int]] = []
         self._complete = False
         self._closed = False
 
@@ -610,25 +615,39 @@ class DecodedChunkCache:
         self._complete = True
 
     def replay(self) -> Iterator:
-        """Yield the spilled ``(values, ids)`` blocks, bitwise identical."""
+        """Yield the spilled ``(values, ids)`` blocks, bitwise identical.
+
+        A spill file cut short underneath the cache (a full disk, an outside
+        truncate) raises :class:`~repro.exceptions.SerializationError` naming
+        the file and the chunk instead of returning a partial block.
+        """
         if not self._complete:
             raise ValidationError("DecodedChunkCache has no complete spilled pass")
         with open(self._values_path, "rb") as values_handle, open(
             self._ids_path, "rb"
         ) as ids_handle:
-            for n_rows, n_columns in self._chunks:
-                values = np.fromfile(
-                    values_handle, dtype=np.float64, count=n_rows * n_columns
-                ).reshape(n_rows, n_columns)
-                ids = pickle.load(ids_handle)
-                yield values, ids
+            for index, (n_rows, n_columns) in enumerate(self._chunks):
+                expected = n_rows * n_columns
+                values = np.fromfile(values_handle, dtype=np.float64, count=expected)
+                if values.size != expected:
+                    raise SerializationError(
+                        f"decoded-chunk spill file {self._values_path} is truncated at "
+                        f"chunk {index}: expected {expected} value(s), read {values.size}"
+                    )
+                try:
+                    ids = pickle.load(ids_handle)
+                except (EOFError, pickle.UnpicklingError) as exc:
+                    raise SerializationError(
+                        f"decoded-chunk spill file {self._ids_path} is truncated at "
+                        f"chunk {index}: {exc}"
+                    ) from exc
+                yield values.reshape(n_rows, n_columns), ids
 
     def close(self) -> None:
         """Remove the scratch directory (idempotent)."""
-        if not self._closed:
-            self._closed = True
-            self._complete = False
-            shutil.rmtree(self._directory, ignore_errors=True)
+        self._closed = True
+        self._complete = False
+        self._remove()
 
     def __enter__(self) -> DecodedChunkCache:
         return self

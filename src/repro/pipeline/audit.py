@@ -12,8 +12,9 @@ that workflow:
   kind: an in-memory :class:`~repro.pipeline.ReleaseBundle` /
   :class:`~repro.data.DataMatrix` pair (dense attack engine), or released /
   original **CSV paths**, audited chunk-wise via
-  :func:`~repro.data.io.iter_matrix_csv` with the moment-space engine of
-  :mod:`repro.attacks.streamed` — the matrices are never materialized.
+  :class:`~repro.data.io.MatrixPasses` (each file parsed once, later passes
+  replayed) with the moment-space engine of :mod:`repro.attacks.streamed` —
+  the matrices are never materialized.
 * :class:`AuditReport` — the attack-error-vs-work-factor table, the
   Table-5-style re-normalization diagnostic, per-attribute ``Var(X − X')``
   with threshold verdicts, as canonical JSON and paper-style Markdown.
@@ -37,7 +38,7 @@ import os
 import time
 from collections.abc import Mapping, Sequence
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, ThreadPoolExecutor, wait
-from contextlib import nullcontext
+from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -47,7 +48,7 @@ from ..attacks import build_attack, plan_attack, plan_known_sample
 from ..attacks.base import distance_change_diagnostics
 from ..attacks.streamed import MomentSketch
 from ..data import DataMatrix
-from ..data.io import atomic_write_text, iter_matrix_csv
+from ..data.io import MatrixPasses, atomic_write_text, read_matrix_csv_header
 from ..exceptions import AttackError, ValidationError
 from ..metrics import privacy_report
 from ..perf.cache import DistanceCache
@@ -1119,213 +1120,219 @@ class AttackSuite:
         ddof: int,
         profiler=None,
     ) -> tuple[dict, dict[int, dict]]:
-        """Run the pass-structured streamed audit for the pending attacks."""
-        from ..data.io import read_matrix_csv_header
+        """Run the pass-structured streamed audit for the pending attacks.
 
+        Each file is parsed once: the moments pass spills its decoded blocks
+        and the gather and scoring passes replay them.
+        """
         columns, _ = read_matrix_csv_header(released_path, id_column=id_column)
         n = len(columns)
         resolved_chunk_rows = resolve_chunk_rows(
             n, chunk_rows=chunk_rows, memory_budget_bytes=memory_budget_bytes
         )
-
-        # ---- Pass 1: chunk-invariant moments (and a head sample for the
-        # sampled Table 5 diagnostic), over released and original together.
-        released_acc = StreamingMoments(n, cross=True, backend=self.backend)
-        original_acc = (
-            StreamingMoments(n, backend=self.backend) if original_path is not None else None
-        )
-        difference_acc = (
-            StreamingMoments(n, backend=self.backend) if original_path is not None else None
-        )
-        head_released: list[np.ndarray] = []
-        head_original: list[np.ndarray] = []
-        head_rows = 0
-        n_objects = 0
-        paired = self._paired_chunks(
-            released_path, original_path, columns, resolved_chunk_rows, id_column
-        )
-        if profiler is not None:
-            paired = profiler.wrap_iter("read", paired)
-        for released_chunk, original_chunk in paired:
-            with profiler.section("compute") if profiler is not None else nullcontext():
-                released_acc.update(released_chunk)
-                if original_chunk is not None:
-                    original_acc.update(original_chunk)
-                    difference_acc.update(original_chunk - released_chunk)
-            if head_rows < self.distance_sample_rows:
-                take = min(self.distance_sample_rows - head_rows, released_chunk.shape[0])
-                head_released.append(released_chunk[:take].copy())
-                if original_chunk is not None:
-                    head_original.append(original_chunk[:take].copy())
-                head_rows += take
-            n_objects += released_chunk.shape[0]
-        sketch = MomentSketch.from_accumulator(released_acc, ddof=1)
-        sample_released = np.vstack(head_released) if head_released else np.empty((0, n))
-        sample_original = np.vstack(head_original) if head_original else None
-
-        privacy = None
-        if original_path is not None:
-            original_variances = original_acc.variances(ddof=ddof)
-            released_variances_d = released_acc.variances(ddof=ddof)
-            difference_variances = difference_acc.variances(ddof=ddof)
-            attributes = {}
-            for index, name in enumerate(columns):
-                original_variance = float(original_variances[index])
-                difference_variance = float(difference_variances[index])
-                attributes[name] = {
-                    "variance_difference": difference_variance,
-                    "scale_invariant": (
-                        difference_variance / original_variance
-                        if not np.isclose(original_variance, 0.0)
-                        else None
-                    ),
-                    "original_variance": original_variance,
-                    "released_variance": float(released_variances_d[index]),
-                }
-            privacy = {
-                "attributes": attributes,
-                "min_variance_difference": min(
-                    item["variance_difference"] for item in attributes.values()
-                ),
-                "mean_variance_difference": float(
-                    np.mean([item["variance_difference"] for item in attributes.values()])
-                ),
-            }
-
-        # ---- Pass 2 (only if an insider attack is pending): gather the
-        # known record pairs at their absolute row positions.
-        known_needs: dict[int, list[int]] = {}
-        for i in pending:
-            entry = self.threat_model.attacks[i]
-            if entry.name != "known_sample":
-                continue
-            if original_path is None:
-                raise AttackError(
-                    "the known-sample attack needs the original CSV (--original)"
-                )
-            attack = build_attack(
-                entry.name, entry.params, random_state=self.threat_model.attack_seed(i)
-            )
-            known_needs[i] = attack.resolve_indices(n_objects)
-        known_rows = (
-            self._gather_rows(
-                released_path,
-                original_path,
-                columns,
-                sorted({idx for need in known_needs.values() for idx in need}),
-                resolved_chunk_rows,
-                id_column,
-            )
-            if known_needs
-            else {}
-        )
-
-        # ---- Planning: moment-space (row-count-free) per pending attack.
-        # Plans are independent, so they fan out over the suite's worker
-        # pool; results are keyed by position, so any pool size produces
-        # the same report.
-        def _plan(i: int) -> tuple:
-            entry = self.threat_model.attacks[i]
-            attack = build_attack(
-                entry.name, entry.params, random_state=self.threat_model.attack_seed(i)
-            )
-            if entry.name == "known_sample":
-                gathered = known_needs[i]
-                released_rows = np.vstack([known_rows[idx][0] for idx in gathered])
-                original_rows = np.vstack([known_rows[idx][1] for idx in gathered])
-                reconstruction, work, details = plan_known_sample(
-                    attack, released_rows, original_rows
-                )
-                details["known_indices"] = [int(idx) for idx in gathered]
-            else:
-                reconstruction, work, details = plan_attack(attack, sketch)
-            return attack, reconstruction, work, details
-
-        plans: dict[int, tuple] = {}
-        if self.workers > 1 and len(pending) > 1:
-            with ThreadPoolExecutor(max_workers=min(self.workers, len(pending))) as pool:
-                futures = {pool.submit(_plan, i): i for i in pending}
-                for future, i in futures.items():
-                    plans[i] = future.result()
-        else:
-            for i in pending:
-                plans[i] = _plan(i)
-
-        # ---- Pass 3: one shared scoring pass applying every planned map.
-        scores: dict[int, StreamingMoments] = {}
-        if original_path is not None and plans:
-            for i in plans:
-                scores[i] = StreamingMoments(n, backend=self.backend)
-            scoring = self._paired_chunks(
-                released_path, original_path, columns, resolved_chunk_rows, id_column
-            )
-            if profiler is not None:
-                scoring = profiler.wrap_iter("read", scoring)
-            for released_chunk, original_chunk in scoring:
-                with profiler.section("compute") if profiler is not None else nullcontext():
-                    for i, (_, reconstruction, _, _) in plans.items():
-                        scores[i].update(original_chunk - reconstruction.apply(released_chunk))
-
-        executed_rows: dict[int, dict] = {}
-        for i, (attack, reconstruction, work, details) in plans.items():
-            error = None
-            per_attribute = None
-            succeeded = False
-            if i in scores:
-                accumulator = scores[i]
-                mean_squared = accumulator.variances(ddof=0) + accumulator.means() ** 2
-                per_attribute = [float(value) for value in np.sqrt(mean_squared)]
-                error = float(np.sqrt(np.mean(mean_squared)))
-                succeeded = bool(error <= attack.success_tolerance)
-            if sample_original is not None and (
-                attack.name == "renormalization"
-                or getattr(attack, "check_distances", False)
-            ):
-                # The sampled Table 5 diagnostic for attacks that would
-                # compute it dense (re-normalization, opted-in insiders).
-                diagnostics = distance_change_diagnostics(
-                    sample_original, reconstruction.apply(sample_released)
-                )
-                diagnostics["distance_sample_rows"] = int(sample_released.shape[0])
-                details = {**details, **diagnostics}
-            executed_rows[i] = {
-                "work": int(work),
-                "error": error,
-                "succeeded": succeeded,
-                "per_attribute_errors": per_attribute,
-                "details": _jsonable(details),
-            }
-
-        evidence = {
-            "n_objects": int(n_objects),
-            "columns": list(columns),
-            "privacy": privacy,
+        options = {
+            "chunk_rows": resolved_chunk_rows,
+            "id_column": id_column,
+            "codec": self.codec,
+            "ids": False,
         }
-        return evidence, executed_rows
+        with ExitStack() as sources:
+            released = sources.enter_context(MatrixPasses(released_path, **options))
+            original = original_columns = None
+            if original_path is not None:
+                original = sources.enter_context(MatrixPasses(original_path, **options))
+                original_columns, _ = read_matrix_csv_header(original_path, id_column=id_column)
+
+            # ---- Pass 1: chunk-invariant moments (and a head sample for the
+            # sampled Table 5 diagnostic), over released and original together.
+            released_acc = StreamingMoments(n, cross=True, backend=self.backend)
+            original_acc = (
+                StreamingMoments(n, backend=self.backend) if original is not None else None
+            )
+            difference_acc = (
+                StreamingMoments(n, backend=self.backend) if original is not None else None
+            )
+            head_released: list[np.ndarray] = []
+            head_original: list[np.ndarray] = []
+            head_rows = 0
+            n_objects = 0
+            paired = self._paired_chunks(released, original, columns, original_columns)
+            if profiler is not None:
+                paired = profiler.wrap_iter("read", paired)
+            for released_chunk, original_chunk in paired:
+                with profiler.section("compute") if profiler is not None else nullcontext():
+                    released_acc.update(released_chunk)
+                    if original_chunk is not None:
+                        original_acc.update(original_chunk)
+                        difference_acc.update(original_chunk - released_chunk)
+                if head_rows < self.distance_sample_rows:
+                    take = min(self.distance_sample_rows - head_rows, released_chunk.shape[0])
+                    head_released.append(released_chunk[:take].copy())
+                    if original_chunk is not None:
+                        head_original.append(original_chunk[:take].copy())
+                    head_rows += take
+                n_objects += released_chunk.shape[0]
+            sketch = MomentSketch.from_accumulator(released_acc, ddof=1)
+            sample_released = np.vstack(head_released) if head_released else np.empty((0, n))
+            sample_original = np.vstack(head_original) if head_original else None
+
+            privacy = None
+            if original is not None:
+                original_variances = original_acc.variances(ddof=ddof)
+                released_variances_d = released_acc.variances(ddof=ddof)
+                difference_variances = difference_acc.variances(ddof=ddof)
+                attributes = {}
+                for index, name in enumerate(columns):
+                    original_variance = float(original_variances[index])
+                    difference_variance = float(difference_variances[index])
+                    attributes[name] = {
+                        "variance_difference": difference_variance,
+                        "scale_invariant": (
+                            difference_variance / original_variance
+                            if not np.isclose(original_variance, 0.0)
+                            else None
+                        ),
+                        "original_variance": original_variance,
+                        "released_variance": float(released_variances_d[index]),
+                    }
+                privacy = {
+                    "attributes": attributes,
+                    "min_variance_difference": min(
+                        item["variance_difference"] for item in attributes.values()
+                    ),
+                    "mean_variance_difference": float(
+                        np.mean([item["variance_difference"] for item in attributes.values()])
+                    ),
+                }
+
+            # ---- Pass 2 (only if an insider attack is pending): gather the
+            # known record pairs at their absolute row positions.
+            known_needs: dict[int, list[int]] = {}
+            for i in pending:
+                entry = self.threat_model.attacks[i]
+                if entry.name != "known_sample":
+                    continue
+                if original is None:
+                    raise AttackError(
+                        "the known-sample attack needs the original CSV (--original)"
+                    )
+                attack = build_attack(
+                    entry.name, entry.params, random_state=self.threat_model.attack_seed(i)
+                )
+                known_needs[i] = attack.resolve_indices(n_objects)
+            known_rows = (
+                self._gather_rows(
+                    released,
+                    original,
+                    columns,
+                    original_columns,
+                    sorted({idx for need in known_needs.values() for idx in need}),
+                )
+                if known_needs
+                else {}
+            )
+
+            # ---- Planning: moment-space (row-count-free) per pending attack.
+            # Plans are independent, so they fan out over the suite's worker
+            # pool; results are keyed by position, so any pool size produces
+            # the same report.
+            def _plan(i: int) -> tuple:
+                entry = self.threat_model.attacks[i]
+                attack = build_attack(
+                    entry.name, entry.params, random_state=self.threat_model.attack_seed(i)
+                )
+                if entry.name == "known_sample":
+                    gathered = known_needs[i]
+                    released_rows = np.vstack([known_rows[idx][0] for idx in gathered])
+                    original_rows = np.vstack([known_rows[idx][1] for idx in gathered])
+                    reconstruction, work, details = plan_known_sample(
+                        attack, released_rows, original_rows
+                    )
+                    details["known_indices"] = [int(idx) for idx in gathered]
+                else:
+                    reconstruction, work, details = plan_attack(attack, sketch)
+                return attack, reconstruction, work, details
+
+            plans: dict[int, tuple] = {}
+            if self.workers > 1 and len(pending) > 1:
+                with ThreadPoolExecutor(max_workers=min(self.workers, len(pending))) as pool:
+                    futures = {pool.submit(_plan, i): i for i in pending}
+                    for future, i in futures.items():
+                        plans[i] = future.result()
+            else:
+                for i in pending:
+                    plans[i] = _plan(i)
+
+            # ---- Pass 3: one shared scoring pass applying every planned map.
+            scores: dict[int, StreamingMoments] = {}
+            if original is not None and plans:
+                for i in plans:
+                    scores[i] = StreamingMoments(n, backend=self.backend)
+                scoring = self._paired_chunks(released, original, columns, original_columns)
+                if profiler is not None:
+                    scoring = profiler.wrap_iter("read", scoring)
+                for released_chunk, original_chunk in scoring:
+                    with profiler.section("compute") if profiler is not None else nullcontext():
+                        for i, (_, reconstruction, _, _) in plans.items():
+                            scores[i].update(original_chunk - reconstruction.apply(released_chunk))
+
+            executed_rows: dict[int, dict] = {}
+            for i, (attack, reconstruction, work, details) in plans.items():
+                error = None
+                per_attribute = None
+                succeeded = False
+                if i in scores:
+                    accumulator = scores[i]
+                    mean_squared = accumulator.variances(ddof=0) + accumulator.means() ** 2
+                    per_attribute = [float(value) for value in np.sqrt(mean_squared)]
+                    error = float(np.sqrt(np.mean(mean_squared)))
+                    succeeded = bool(error <= attack.success_tolerance)
+                if sample_original is not None and (
+                    attack.name == "renormalization"
+                    or getattr(attack, "check_distances", False)
+                ):
+                    # The sampled Table 5 diagnostic for attacks that would
+                    # compute it dense (re-normalization, opted-in insiders).
+                    diagnostics = distance_change_diagnostics(
+                        sample_original, reconstruction.apply(sample_released)
+                    )
+                    diagnostics["distance_sample_rows"] = int(sample_released.shape[0])
+                    details = {**details, **diagnostics}
+                executed_rows[i] = {
+                    "work": int(work),
+                    "error": error,
+                    "succeeded": succeeded,
+                    "per_attribute_errors": per_attribute,
+                    "details": _jsonable(details),
+                }
+
+            evidence = {
+                "n_objects": int(n_objects),
+                "columns": list(columns),
+                "privacy": privacy,
+            }
+            return evidence, executed_rows
 
     def _paired_chunks(
         self,
-        released_path: Path,
-        original_path: Path | None,
+        released: MatrixPasses,
+        original: MatrixPasses | None,
         columns: Sequence[str],
-        chunk_rows: int,
-        id_column: str | None,
+        original_columns: Sequence[str] | None,
     ):
-        """Zip released (and original) CSV chunks, validating alignment."""
-        released_iter = iter_matrix_csv(
-            released_path, chunk_rows=chunk_rows, id_column=id_column, codec=self.codec
-        )
-        if original_path is None:
-            for chunk in released_iter:
-                if chunk.columns != tuple(columns):
-                    raise ValidationError(
-                        f"released CSV columns changed mid-file: {chunk.columns}"
-                    )
-                yield chunk.values, None
+        """One pass zipping released (and original) chunks, validating alignment."""
+        released_iter = released.chunks()
+        if original is None:
+            for values, _ in released_iter:
+                yield values, None
             return
-        original_iter = iter_matrix_csv(
-            original_path, chunk_rows=chunk_rows, id_column=id_column, codec=self.codec
-        )
+        columns, original_columns = tuple(columns), tuple(original_columns)
+        shared = set(columns) == set(original_columns)
+        # Align original columns to the released order by name.
+        order = None
+        if shared and columns != original_columns:
+            order = [original_columns.index(name) for name in columns]
+        original_iter = original.chunks()
         while True:
             released_chunk = next(released_iter, None)
             original_chunk = next(original_iter, None)
@@ -1335,38 +1342,35 @@ class AttackSuite:
                 raise ValidationError(
                     "released and original CSVs have different row counts"
                 )
-            if released_chunk.values.shape != original_chunk.values.shape:
+            released_values, original_values = released_chunk[0], original_chunk[0]
+            if released_values.shape != original_values.shape:
                 raise ValidationError(
                     "released and original CSVs have different shapes in a chunk: "
-                    f"{released_chunk.values.shape} vs {original_chunk.values.shape}"
+                    f"{released_values.shape} vs {original_values.shape}"
                 )
-            if set(released_chunk.columns) != set(original_chunk.columns):
+            if not shared:
                 raise ValidationError(
                     f"released and original CSVs must share columns, got "
-                    f"{released_chunk.columns} and {original_chunk.columns}"
+                    f"{columns} and {original_columns}"
                 )
-            # Align original columns to the released order by name.
-            if released_chunk.columns != original_chunk.columns:
-                order = [original_chunk.columns.index(name) for name in released_chunk.columns]
-                yield released_chunk.values, original_chunk.values[:, order]
-            else:
-                yield released_chunk.values, original_chunk.values
+            yield released_values, (
+                original_values if order is None else original_values[:, order]
+            )
 
     def _gather_rows(
         self,
-        released_path: Path,
-        original_path: Path,
+        released: MatrixPasses,
+        original: MatrixPasses,
         columns: Sequence[str],
+        original_columns: Sequence[str],
         indices: list[int],
-        chunk_rows: int,
-        id_column: str | None,
     ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """Collect specific absolute rows from both CSVs in one pass."""
+        """Collect specific absolute rows from both CSVs in one pass (stops early)."""
         wanted = set(indices)
         gathered: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         position = 0
         for released_chunk, original_chunk in self._paired_chunks(
-            released_path, original_path, columns, chunk_rows, id_column
+            released, original, columns, original_columns
         ):
             stop = position + released_chunk.shape[0]
             for index in sorted(wanted):

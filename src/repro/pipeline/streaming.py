@@ -49,6 +49,7 @@ from ..core.thresholds import PairwiseSecurityThreshold
 from ..data.io import (
     DEFAULT_CHUNK_ROWS,
     MatrixCsvWriter,
+    MatrixPasses,
     iter_matrix_csv,
     read_matrix_csv_header,
 )
@@ -354,38 +355,23 @@ def privacy_report_from_moments(
 
 
 class _FileMomentSource:
-    """Moment source streaming one CSV through the pipeline's chunk iterator."""
+    """Moment source running the planner's passes over one CSV's pass source."""
 
     def __init__(
         self,
         pipeline: StreamingReleasePipeline,
-        input_path: Path,
-        id_column: str | None,
-        chunk_rows: int,
-        kept_indices: list[int] | None,
+        passes: MatrixPasses,
         columns: Sequence[str],
         *,
-        cache=None,
         profiler=None,
     ) -> None:
         self._pipeline = pipeline
-        self._input_path = input_path
-        self._id_column = id_column
-        self._chunk_rows = chunk_rows
-        self._kept_indices = kept_indices
+        self._passes = passes
         self._columns = tuple(columns)
-        self._cache = cache
         self._profiler = profiler
 
     def _chunks(self):
-        return self._pipeline._pass_chunks(
-            self._input_path,
-            self._id_column,
-            self._chunk_rows,
-            self._kept_indices,
-            cache=self._cache,
-            profiler=self._profiler,
-        )
+        return _profiled(self._passes.chunks(), self._profiler)
 
     def correlation_moments(self) -> StreamingMoments:
         pipeline = self._pipeline
@@ -465,9 +451,9 @@ class StreamingReleasePipeline:
         ``"fast"`` (default) for the vectorized lane in
         :mod:`repro.perf.csv_codec`, ``"python"`` for the seed
         ``csv.reader``/``csv.writer`` oracle.  The released bytes and the
-        report are identical either way; with the fast codec the first
-        full pass additionally spills its decoded chunks to a binary
-        scratch file so later passes skip the CSV parse entirely.
+        report are identical either way.  In either lane the first full
+        pass spills its decoded chunks to a binary scratch file so later
+        passes skip the CSV parse entirely.
     pipelined:
         When true, chunk decode runs up to two chunks ahead on a prefetch
         thread and encoded output blocks are written by a background
@@ -532,8 +518,6 @@ class StreamingReleasePipeline:
         timings (see :class:`repro.perf.profiling.StageProfiler`); profiling
         never changes the released bytes.
         """
-        from ..perf.csv_codec import DecodedChunkCache
-
         input_path = Path(input_path)
         all_columns, has_ids = read_matrix_csv_header(input_path, id_column=id_column)
         kept_indices, columns = self._kept_columns(all_columns)
@@ -546,24 +530,16 @@ class StreamingReleasePipeline:
             self.suppressor is not None and self.suppressor.drop_object_ids
         )
         passes = 0
-        # With the fast codec the multi-pass workflow parses the CSV once:
-        # the first complete pass tees its decoded (values, ids) blocks into
-        # a binary scratch file, later passes replay the identical doubles.
-        cache = DecodedChunkCache() if self.codec == "fast" else None
-        try:
+        # The multi-pass workflow parses the CSV once: the first complete
+        # pass spills its decoded blocks, later passes replay the same doubles.
+        with self._passes(input_path, id_column, chunk_rows, kept_indices) as source:
             # ---- Pass 1: fit the normalizer (chunk-invariant streamed
             # stats).  A frozen-policy replay (refit=False) keeps the
             # normalizer exactly as given, so the per-row transform matches
             # the release that first fitted it, bit for bit.
             if self.refit:
                 self.normalizer.fit_stream(
-                    (
-                        chunk
-                        for chunk, _ in self._pass_chunks(
-                            input_path, id_column, chunk_rows, kept_indices,
-                            cache=cache, profiler=profiler,
-                        )
-                    ),
+                    (chunk for chunk, _ in _profiled(source.chunks(), profiler)),
                     backend=self.backend,
                 )
                 passes += 1
@@ -572,10 +548,7 @@ class StreamingReleasePipeline:
             # streamed correlation; then per-pair security ranges and angles
             # (Step 2b/2c) from streamed moments, in as few extra passes as
             # the pair dependency structure allows.
-            moment_source = _FileMomentSource(
-                self, input_path, id_column, chunk_rows, kept_indices, columns,
-                cache=cache, profiler=profiler,
-            )
+            moment_source = _FileMomentSource(self, source, columns, profiler=profiler)
             decided, moment_passes = plan_rotations(self.rbt, columns, moment_source)
             passes += moment_passes
 
@@ -593,10 +566,7 @@ class StreamingReleasePipeline:
                 codec=self.codec,
                 pipelined=self.pipelined,
             ) as writer:
-                for chunk, ids in self._pass_chunks(
-                    input_path, id_column, chunk_rows, kept_indices,
-                    cache=cache, profiler=profiler,
-                ):
+                for chunk, ids in _profiled(source.chunks(), profiler):
                     if profiler is None:
                         normalized = self.normalizer.transform(chunk)
                         current = apply_decided_rotations(
@@ -619,9 +589,6 @@ class StreamingReleasePipeline:
                             writer.write_rows(current, ids=ids if carry_ids else None)
                     n_objects += chunk.shape[0]
             passes += 1
-        finally:
-            if cache is not None:
-                cache.close()
 
         records = build_rotation_records(decided, achieved_moments, ddof=self.rbt.ddof)
         privacy = privacy_report_from_moments(columns, privacy_moments, ddof=self.ddof)
@@ -649,47 +616,27 @@ class StreamingReleasePipeline:
             raise ValidationError("identifier suppression removed every column")
         return [index for index, _ in kept], tuple(name for _, name in kept)
 
-    @staticmethod
-    def _select(values: np.ndarray, kept_indices: list[int] | None) -> np.ndarray:
-        return values if kept_indices is None else values[:, kept_indices]
-
-    def _chunks(
+    def _passes(
         self,
         input_path: Path,
         id_column: str | None,
         chunk_rows: int,
         kept_indices: list[int] | None,
-    ) -> Iterator[tuple[np.ndarray, tuple | None]]:
-        """One full pass over the input as ``(values, ids)`` blocks."""
-        for chunk in iter_matrix_csv(
+    ) -> MatrixPasses:
+        """The decode-once pass source over the input, in this pipeline's lane."""
+        return MatrixPasses(
             input_path,
             chunk_rows=chunk_rows,
             id_column=id_column,
             codec=self.codec,
+            kept_indices=kept_indices,
             prefetch=2 if self.pipelined else None,
-        ):
-            yield self._select(chunk.values, kept_indices), chunk.ids
+        )
 
-    def _pass_chunks(
-        self,
-        input_path: Path,
-        id_column: str | None,
-        chunk_rows: int,
-        kept_indices: list[int] | None,
-        *,
-        cache=None,
-        profiler=None,
-    ) -> Iterator[tuple[np.ndarray, tuple | None]]:
-        """One full pass, replaying the spill cache once a pass completed it."""
-        if cache is not None and cache.complete:
-            iterator = cache.replay()
-        else:
-            iterator = self._chunks(input_path, id_column, chunk_rows, kept_indices)
-            if cache is not None:
-                iterator = cache.tee(iterator)
-        if profiler is not None:
-            iterator = profiler.wrap_iter("read", iterator)
-        yield from iterator
+
+def _profiled(chunks: Iterator, profiler) -> Iterator:
+    """Attribute each chunk read of a pass to the profiler's ``read`` stage."""
+    return chunks if profiler is None else profiler.wrap_iter("read", chunks)
 
 
 def _invert_rows_worker(arrays, start, stop, *, secret, columns):

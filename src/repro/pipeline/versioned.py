@@ -39,14 +39,14 @@ its parameters from a bundle's manifest.
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from pathlib import Path
 
 import numpy as np
 
 from ..core import RBT
 from ..core.secrets import RBTSecret
-from ..data.io import MatrixCsvWriter, read_matrix_csv_header
+from ..data.io import MatrixCsvWriter, iter_matrix_csv, read_matrix_csv_header
 from ..exceptions import BundleError
 from ..perf.streaming import StreamingMoments, state_from_jsonable, state_to_jsonable
 from ..preprocessing import ZScoreNormalizer
@@ -165,8 +165,6 @@ class VersionedReleaseBundle:
         pipelined: bool = False,
     ) -> tuple["VersionedReleaseBundle", StreamingReleaseReport]:
         """Release ``input_path`` from scratch and freeze the policy as version 1."""
-        from ..perf.csv_codec import DecodedChunkCache
-
         bundle_dir = Path(bundle_dir)
         if (bundle_dir / MANIFEST_NAME).exists():
             existing = cls.open(bundle_dir)
@@ -192,25 +190,15 @@ class VersionedReleaseBundle:
             len(columns), chunk_rows=chunk_rows, memory_budget_bytes=memory_budget_bytes
         )
         passes = 0
-        cache = DecodedChunkCache() if pipeline.codec == "fast" else None
-        try:
+        with pipeline._passes(input_path, id_column, resolved_chunk_rows, None) as source:
             # Fit + plan exactly like the streamed pipeline (same helpers,
             # same bits), but keep hold of the intermediate state so it can
             # be frozen.
             pipeline.normalizer.fit_stream(
-                (
-                    chunk
-                    for chunk, _ in pipeline._pass_chunks(
-                        input_path, id_column, resolved_chunk_rows, None, cache=cache
-                    )
-                ),
-                backend=backend,
+                (chunk for chunk, _ in source.chunks()), backend=backend
             )
             passes += 1
-            moment_source = _FileMomentSource(
-                pipeline, input_path, id_column, resolved_chunk_rows, None, columns,
-                cache=cache,
-            )
+            moment_source = _FileMomentSource(pipeline, source, columns)
             decided, moment_passes = plan_rotations(pipeline.rbt, columns, moment_source)
             passes += moment_passes
 
@@ -225,21 +213,15 @@ class VersionedReleaseBundle:
             ) as writer:
                 n_objects, privacy_state, achieved_states, records, privacy = _transform_pass(
                     pipeline,
-                    input_path,
+                    source.chunks(),
                     writer,
                     columns,
                     decided,
-                    id_column=id_column,
-                    chunk_rows=resolved_chunk_rows,
                     carry_ids=has_ids,
                     backend=backend,
                     prior_sketches=None,
-                    cache=cache,
                 )
             passes += 1
-        finally:
-            if cache is not None:
-                cache.close()
 
         sketches = {
             "format": "repro.release-sketches",
@@ -392,14 +374,23 @@ class VersionedReleaseBundle:
         ) as writer:
             self._check_hash("released", digest.hexdigest())
             self._check_hash("sketches", file_sha256(self._artifact_path("sketches")))
+            # One pass over the delta: read it directly, never spilled.
+            delta_chunks = (
+                (chunk.values, chunk.ids)
+                for chunk in iter_matrix_csv(
+                    new_rows,
+                    chunk_rows=resolved_chunk_rows,
+                    id_column=self.id_column,
+                    codec=pipeline.codec,
+                    prefetch=2 if pipeline.pipelined else None,
+                )
+            )
             delta_rows, privacy_state, achieved_states, records, privacy = _transform_pass(
                 pipeline,
-                new_rows,
+                delta_chunks,
                 writer,
                 columns,
                 decided,
-                id_column=self.id_column,
-                chunk_rows=resolved_chunk_rows,
                 carry_ids=self.carry_ids,
                 backend=backend,
                 prior_sketches=self._load_sketches(),
@@ -552,19 +543,16 @@ class VersionedReleaseBundle:
 
 def _transform_pass(
     pipeline: StreamingReleasePipeline,
-    input_path: Path,
+    chunks: Iterable[tuple[np.ndarray, tuple | None]],
     writer: MatrixCsvWriter,
     columns: Sequence[str],
     decided,
     *,
-    id_column: str | None,
-    chunk_rows: int,
     carry_ids: bool,
     backend,
     prior_sketches: dict | None,
-    cache=None,
 ):
-    """Normalize + rotate one file into the open ``writer``; fold + report evidence.
+    """Normalize + rotate ``(values, ids)`` chunks into ``writer``; fold + report evidence.
 
     With ``prior_sketches`` the fresh accumulators absorb the persisted
     states first, so the drained evidence covers the whole feed — the merge
@@ -585,7 +573,7 @@ def _transform_pass(
             accumulator._merge_state(state_from_jsonable(state))
     column_index = {name: position for position, name in enumerate(columns)}
     n_rows = 0
-    for chunk, ids in pipeline._pass_chunks(input_path, id_column, chunk_rows, None, cache=cache):
+    for chunk, ids in chunks:
         normalized = pipeline.normalizer.transform(chunk)
         current = apply_decided_rotations(
             normalized.copy(), decided, column_index, achieved_moments

@@ -35,6 +35,7 @@ from repro.data.datasets import make_patient_cohorts
 from repro.data.io import matrix_to_csv
 from repro.exceptions import AttackError, ValidationError
 from repro.perf.cache import DistanceCache
+from repro.perf.csv_codec import DecodedChunkCache
 from repro.perf.streaming import StreamingMoments
 from repro.pipeline import (
     AttackSuite,
@@ -399,14 +400,37 @@ class TestAttackSuiteDense:
 # AttackSuite — streamed engine
 # --------------------------------------------------------------------------- #
 class TestAttackSuiteStreamed:
-    def test_chunk_invariance(self, csv_release):
+    @pytest.mark.parametrize("codec", ["fast", "python"])
+    @pytest.mark.parametrize(
+        "threat_model",
+        [
+            "paper_public",
+            "insider",
+            "full",
+            # Known records at the head: the gather pass stops early, then the
+            # scoring pass replays the decoded blocks the moments pass spilled.
+            {
+                "name": "early_insider",
+                "attacks": [
+                    {"name": "known_sample", "params": {"known_indices": list(range(8))}}
+                ],
+            },
+        ],
+        ids=["paper_public", "insider", "full", "early_insider"],
+    )
+    def test_chunk_invariance(self, csv_release, monkeypatch, threat_model, codec):
         original_path, released_path = csv_release
-        reports = [
-            AttackSuite("full").run(released_path, original_path, chunk_rows=chunk_rows)
-            for chunk_rows in (1, 7, 64, 100_000)
-        ]
-        first = reports[0].to_json()
-        assert all(report.to_json() == first for report in reports[1:])
+
+        def report(chunk_rows):
+            suite = AttackSuite(threat_model, codec=codec)
+            return suite.run(released_path, original_path, chunk_rows=chunk_rows).to_json()
+
+        # Oracle: every pass parses its CSV again instead of replaying a spill.
+        with monkeypatch.context() as patch:
+            patch.setattr(DecodedChunkCache, "complete", property(lambda cache: False))
+            reparsed = report(None)
+        for chunk_rows in (1, 7, 64, 100_000, None):
+            assert report(chunk_rows) == reparsed
 
     def test_cache_hits_across_chunkings(self, tmp_path, csv_release):
         original_path, released_path = csv_release

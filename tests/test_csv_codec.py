@@ -8,6 +8,10 @@ therefore run both codecs side by side and compare.
 
 from __future__ import annotations
 
+import itertools
+import os
+import tempfile
+
 import numpy as np
 import pytest
 
@@ -397,6 +401,21 @@ class TestDecodedChunkCache:
                 list(cache.replay())
         finally:
             cache.close()
+
+
+    @pytest.mark.parametrize("spill", ["values.f64", "ids.pkl"])
+    def test_truncated_spill_names_file_and_chunk(self, tmp_path, monkeypatch, spill):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        blocks = [(np.full((4, 2), float(index)), (f"r{index}",) * 4) for index in range(3)]
+        with DecodedChunkCache() as cache:
+            list(cache.tee(iter(blocks)))
+            (spill_path,) = tmp_path.glob(f"repro-csv-spill-*/{spill}")
+            os.truncate(spill_path, os.path.getsize(spill_path) - 3)
+            replayed = cache.replay()
+            assert [ids for _, ids in itertools.islice(replayed, 2)] == [b[1] for b in blocks[:2]]
+            with pytest.raises(SerializationError, match=rf"{spill}.* at chunk 2"):
+                next(replayed)
+        assert list(tmp_path.glob("repro-csv-spill-*")) == []
 
 
 class TestChunkRowsValidation:

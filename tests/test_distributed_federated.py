@@ -141,12 +141,14 @@ class TestDistributedByteIdentity:
             [41, 42],
             [5, 60, 18],
             [0, 30, 0, 53],
+            [83, 0],
             [1] * 10 + [73],
         ],
     )
     @pytest.mark.parametrize("chunk_rows", [7, 83])
+    @pytest.mark.parametrize("codec", ["fast", "python"])
     def test_any_split_and_chunking_matches_single_party(
-        self, confidential_csv, tmp_path, row_counts, chunk_rows
+        self, confidential_csv, tmp_path, row_counts, chunk_rows, codec
     ):
         source, _ = confidential_csv
         single_out = tmp_path / "single.csv"
@@ -157,7 +159,7 @@ class TestDistributedByteIdentity:
         assert sum(written) == 83
         distributed_out = tmp_path / "distributed.csv"
         report = DistributedReleasePipeline(
-            RBT(0.3, random_state=11), chunk_rows=chunk_rows, protocol_seed=99
+            RBT(0.3, random_state=11), chunk_rows=chunk_rows, protocol_seed=99, codec=codec
         ).run(shards, distributed_out)
         assert distributed_out.read_bytes() == single_out.read_bytes()
         assert report.records == single.records
