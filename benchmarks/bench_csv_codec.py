@@ -10,7 +10,10 @@ gate covers the I/O layer alongside the compute kernels:
 * ``decode`` — ``iter_matrix_csv`` fast vs. python over the same file;
   chunks cross-checked bitwise (``decode_bitwise_identical`` gates).
 * ``encode`` — ``MatrixCsvWriter`` fast vs. python writing the same array;
-  outputs cross-checked (``encode_byte_identical`` gates).
+  outputs cross-checked (``encode_byte_identical`` gates).  The fast write
+  is repeated pinned to one CPU; ``encode_workers`` records how many
+  processes encoded each block unpinned and ``encode_parallel_byte_identical``
+  gates that the forked fan-out wrote the same bytes as the one-CPU run.
 * ``end_to_end`` — a full streamed release through
   ``StreamingReleasePipeline`` under each codec; released CSVs
   cross-checked (``codec_byte_identical`` gates) and the speedup sits
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import tempfile
 from datetime import datetime, timezone
@@ -50,6 +54,7 @@ from bench_perf_hotpaths import best_time, ratio
 
 from repro.core import RBT
 from repro.data.io import MatrixCsvWriter, iter_matrix_csv
+from repro.perf.csv_codec import _encode_workers
 from repro.pipeline import StreamingReleasePipeline
 
 N_ATTRIBUTES = 4
@@ -113,8 +118,8 @@ def bench_encode(workdir: Path, quick: bool) -> dict:
     values = rng.normal(size=(n_rows, N_ATTRIBUTES)) * 17.0
     ids = [f"row-{i}" for i in range(n_rows)]
 
-    def write(codec: str) -> Path:
-        path = workdir / f"encode_{codec}.csv"
+    def write(codec: str, label: str = "") -> Path:
+        path = workdir / f"encode_{codec}{label}.csv"
         with MatrixCsvWriter(path, COLUMNS, include_ids=True, codec=codec) as writer:
             for start in range(0, n_rows, 50_000):
                 writer.write_rows(
@@ -126,6 +131,18 @@ def bench_encode(workdir: Path, quick: bool) -> dict:
     python_seconds, python_path = best_time(lambda: write("python"), repeats=2)
     identical = fast_path.read_bytes() == python_path.read_bytes()
     assert identical, "fast encode diverged from the csv.writer oracle"
+
+    # The same array once more with the process pinned to one CPU, which
+    # keeps every block serial: the forked fan-out must not change a byte.
+    workers = _encode_workers(min(n_rows, 50_000))
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, [min(cpus)])
+    try:
+        pinned_bytes = write("fast", "_pinned").read_bytes()
+    finally:
+        os.sched_setaffinity(0, cpus)
+    parallel_identical = pinned_bytes == fast_path.read_bytes()
+    assert parallel_identical, "forked encode diverged from the one-CPU encode"
     return {
         "n_rows": n_rows,
         "n_attributes": N_ATTRIBUTES,
@@ -133,6 +150,8 @@ def bench_encode(workdir: Path, quick: bool) -> dict:
         "python_seconds": python_seconds,
         "speedup": ratio(python_seconds, fast_seconds),
         "encode_byte_identical": bool(identical),
+        "encode_workers": workers,
+        "encode_parallel_byte_identical": bool(parallel_identical),
     }
 
 

@@ -549,6 +549,12 @@ class MatrixCsvWriter:
         formatter in :mod:`repro.perf.csv_codec` — byte-identical to the
         ``"python"`` seed lane, which ineligible blocks (non-string ids,
         ids needing CSV quoting, explicit ``float_format``) always use.
+        A fast-lane block of at least 8192 rows is encoded on every CPU
+        the process may use (:func:`repro.perf.csv_codec.encode_block`:
+        forked children encode contiguous row slices, the parent writes
+        them in order).  Encode stays serial with one CPU, off Linux, with
+        a ``float_format``, under ``pipelined`` or whenever another thread
+        is alive (such as a live process-pool backend).
     pipelined:
         When true, encoded text blocks are written by a background thread
         (double-buffered), overlapping encode with disk I/O.  The produced
@@ -626,30 +632,22 @@ class MatrixCsvWriter:
             raise SerializationError("writer was built with include_ids=False but ids were given")
         fmt = self.float_format
         block_ids = ids if self.include_ids else None
-        text: str | None = None
-        if self.codec == "fast" and fmt is None:
-            from ..perf.csv_codec import encode_matrix_block
+        if self.codec == "fast" and fmt is None and self._sink is None:
+            from ..perf.csv_codec import encode_block
 
-            text = encode_matrix_block(block, block_ids)
-        if text is None and (self.codec == "fast" or self._sink is not None):
-            # Oracle-lane bytes for blocks the fast encoder declines, and
-            # for the python codec when text must cross the pipelined sink.
-            from ..perf.csv_codec import encode_block_via_csv_writer
+            encode_block(block, block_ids, self._write_bytes)
+        elif self.codec == "fast" or self._sink is not None:
+            # Text for the pipelined sink, or the oracle lane's bytes for an
+            # explicit float_format.
+            from ..perf.csv_codec import encode_block_via_csv_writer, encode_matrix_block
 
-            text = encode_block_via_csv_writer(block, block_ids, fmt)
-        if text is not None:
+            text = encode_matrix_block(block, block_ids) if fmt is None else None
+            if text is None:
+                text = encode_block_via_csv_writer(block, block_ids, fmt)
             if self._sink is not None:
                 self._sink.write(text)
             else:
-                # ASCII text encodes bytewise to UTF-8, so writing the
-                # encoded block straight to the binary buffer skips the
-                # TextIOWrapper machinery; any pending text-layer output
-                # (header, csv.writer rows) must reach the buffer first to
-                # keep the byte order.
-                if self._text_pending:
-                    self._handle.flush()
-                    self._text_pending = False
-                self._handle.buffer.write(text.encode("utf-8"))
+                self._write_bytes(text.encode("utf-8"))
         else:
             for row_index in range(block.shape[0]):
                 row: list = []
@@ -659,6 +657,15 @@ class MatrixCsvWriter:
                 self._writer.writerow(row)
             self._text_pending = True
         self._rows_written += block.shape[0]
+
+    def _write_bytes(self, data: bytes) -> None:
+        # Encoded blocks go straight to the binary buffer, skipping the
+        # TextIOWrapper machinery; pending text-layer output (header,
+        # csv.writer rows) must reach the buffer first to keep the byte order.
+        if self._text_pending:
+            self._handle.flush()
+            self._text_pending = False
+        self._handle.buffer.write(data)
 
     def close(self) -> None:
         """Flush, close and atomically publish the file over ``path`` (idempotent)."""

@@ -50,7 +50,7 @@ class DataMatrix:
         columns: Sequence[str] | None = None,
         ids: Sequence | None = None,
     ) -> None:
-        matrix = as_float_matrix(values, name="values")
+        matrix = as_float_matrix(values, name="data")
         n_rows, n_cols = matrix.shape
         if columns is None:
             columns = [f"x{i}" for i in range(n_cols)]

@@ -19,6 +19,15 @@ seam of :func:`repro.data.io.iter_matrix_csv` and
   templates over column lists, byte-identical to the ``csv.writer`` +
   ``repr`` seed writer (``\\r\\n`` terminators included).  Blocks whose ids
   need CSV quoting (or are not strings) fall back to ``csv.writer``.
+  ``repr(float)`` is the per-cell floor on one core, so :func:`encode_block`
+  cuts a large block into contiguous row slices and encodes them on every
+  core: forked children each encode one slice (choosing its lane per
+  slice) and send the bytes back over a pipe, and the parent writes the
+  slices in row order, so the output is byte-identical by construction.
+  It stays serial on one CPU, off Linux, when any other thread is alive
+  (the pipelined sink, a live process pool), and for blocks under
+  ``2 * _MIN_ROWS_PER_WORKER`` rows; a failed child's slice is re-encoded
+  in the parent, and no child outlives the call.
 * **Pipelined chunk I/O** — a bounded prefetch iterator
   (:func:`prefetch_chunks`) and a double-buffered background writer sink
   (:class:`PipelinedTextSink`) let decode, compute and encode overlap across
@@ -40,14 +49,18 @@ files) or routes through the oracle's own code path.
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import os
 import pickle
 import queue
 import re
 import shutil
+import signal
+import sys
 import tempfile
 import threading
+import warnings
 import weakref
 from collections.abc import Iterable, Iterator, Sequence
 from io import StringIO
@@ -62,6 +75,7 @@ __all__ = [
     "DecodedChunkCache",
     "PipelinedTextSink",
     "decode_matrix_csv",
+    "encode_block",
     "encode_matrix_block",
     "prefetch_chunks",
     "resolve_codec",
@@ -81,6 +95,12 @@ _BLOCK_BYTES = 1 << 22
 
 #: Byte-block floor — below this the per-block Python overhead dominates.
 _MIN_BLOCK_BYTES = 1 << 15
+
+#: Row floor per encode worker.  Below about this many rows the fork and
+#: the pipe round trip cost more than the formatting they take off the
+#: parent, so :func:`encode_block` forks only for blocks of at least twice
+#: this many rows (never for small append deltas or warm-up blocks).
+_MIN_ROWS_PER_WORKER = 4096
 
 
 def _block_bytes(chunk_rows: int) -> int:
@@ -416,6 +436,8 @@ def encode_matrix_block(values: np.ndarray, ids: Sequence | None) -> str | None:
     n_columns = values.shape[1]
     if n_columns == 0:
         return None
+    if values.shape[0] == 0:
+        return ""
     if ids is not None:
         for row_id in ids:
             if type(row_id) is not str:
@@ -452,6 +474,122 @@ def encode_block_via_csv_writer(
         row.extend(format_value(value, float_format) for value in values[row_index])
         writer.writerow(row)
     return buffer.getvalue()
+
+
+def _encode_slice(values: np.ndarray, ids: Sequence | None) -> bytes:
+    """Encode rows in the fast lane, or the ``csv.writer`` lane if it declines."""
+    text = encode_matrix_block(values, ids)
+    if text is None:
+        text = encode_block_via_csv_writer(values, ids, None)
+    return text.encode("utf-8")
+
+
+def _encode_workers(n_rows: int) -> int:
+    """How many processes should encode an ``n_rows`` block (1 = serial)."""
+    if not hasattr(os, "fork") or sys.platform != "linux":
+        return 1
+    if threading.active_count() > 1:
+        # Forking a threaded process copies locks held by the other threads.
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), n_rows // _MIN_ROWS_PER_WORKER))
+
+
+def _read_frame(fd: int) -> bytes | None:
+    """Read one length-framed payload from a pipe; ``None`` if it is short."""
+    with open(fd, "rb", closefd=False) as pipe:
+        header = pipe.read(8)
+        if len(header) != 8:
+            return None
+        size = int.from_bytes(header, "little")
+        payload = pipe.read(size)
+    return payload if len(payload) == size else None
+
+
+def _rows(values: np.ndarray, ids: Sequence | None, start: int, stop: int) -> tuple:
+    return values[start:stop], None if ids is None else ids[start:stop]
+
+
+def _encode_child(rows: tuple, write_fd: int, read_fds: list[int]) -> None:
+    """Forked child: encode one slice, frame it into ``write_fd`` and exit.
+
+    The child first closes every inherited read end, so if the parent dies
+    the child gets EPIPE instead of blocking on a full pipe forever.
+    """
+    status = 1
+    try:
+        gc.disable()  # the parent's garbage (and its finalizers) stays the parent's
+        for fd in read_fds:
+            os.close(fd)
+        payload = _encode_slice(*rows)
+        with open(write_fd, "wb", closefd=False) as pipe:
+            pipe.write(len(payload).to_bytes(8, "little"))
+            pipe.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def encode_block(values: np.ndarray, ids: Sequence | None, write) -> None:
+    """Encode a row block and pass its bytes to ``write`` in row order.
+
+    The bytes equal the ``csv.writer`` seed lane's.  A block of at least
+    ``2 * _MIN_ROWS_PER_WORKER`` rows is cut into ``W`` contiguous slices,
+    ``W`` = min(CPUs available, rows // ``_MIN_ROWS_PER_WORKER``); ``W - 1``
+    forked children encode slices 1.. while the parent encodes slice 0,
+    then the parent reads, reaps and writes every slice in order.  A child
+    that exits non-zero or sends a short frame has its slice re-encoded
+    here; if anything raises, every child is killed and reaped first.
+    """
+    n_rows = values.shape[0]
+    n_workers = _encode_workers(n_rows)
+    if n_workers < 2:
+        write(_encode_slice(values, ids))
+        return
+    bounds = [n_rows * k // n_workers for k in range(n_workers + 1)]
+    children: list[tuple[int, int, int, int]] = []  # (pid, read fd, start, stop)
+    try:
+        for start, stop in zip(bounds[1:-1], bounds[2:]):
+            read_fd, write_fd = os.pipe()
+            try:
+                with warnings.catch_warnings():
+                    # CPython 3.12+ warns whenever the OS reports a second
+                    # thread, native BLAS workers included.  No Python thread
+                    # is alive (checked in _encode_workers) and the child
+                    # runs no BLAS code, so that warning does not apply here.
+                    warnings.filterwarnings(
+                        "ignore", r"This process .*is multi-threaded", DeprecationWarning
+                    )
+                    pid = os.fork()
+                if pid == 0:
+                    _encode_child(
+                        _rows(values, ids, start, stop),
+                        write_fd,
+                        [read_fd] + [child[1] for child in children],
+                    )
+                children.append((pid, read_fd, start, stop))
+            except OSError:
+                os.close(read_fd)
+                raise
+            finally:
+                os.close(write_fd)
+        write(_encode_slice(*_rows(values, ids, 0, bounds[1])))
+        while children:
+            pid, read_fd, start, stop = children[0]
+            payload = _read_frame(read_fd)
+            _, status = os.waitpid(pid, 0)
+            children.pop(0)
+            os.close(read_fd)
+            if payload is None or os.waitstatus_to_exitcode(status) != 0:
+                payload = _encode_slice(*_rows(values, ids, start, stop))
+            write(payload)
+    finally:
+        for pid, read_fd, _start, _stop in children:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            os.waitpid(pid, 0)
+            os.close(read_fd)
 
 
 # --------------------------------------------------------------------------- #

@@ -105,6 +105,25 @@ class TestTransformCommand:
         assert code == 1
         assert "security range" in capsys.readouterr().err or True
 
+    def test_nan_cell_same_error_in_every_branch(self, tmp_path, capsys):
+        source = tmp_path / "nan.csv"
+        source.write_text("id,a,b,c\nr1,1.0,2.0,3.0\nr2,nan,1.0,2.0\nr3,2.0,3.0,1.0\n")
+        clean = tmp_path / "clean.csv"
+        clean.write_text("id,a,b,c\nr4,1.0,2.0,3.0\nr5,3.0,1.0,2.0\n")
+        out = str(tmp_path / "out.csv")
+        commands = [
+            ["transform", str(source), out, "--seed", "1"],
+            ["transform", str(source), out, "--seed", "1", "--chunk-rows", "2"],
+            ["distributed", str(source), str(clean), out, "--seed", "1"],
+        ]
+        messages = []
+        for argv in commands:
+            assert main(argv) == 1
+            messages.append(capsys.readouterr().err)
+        assert messages[0] == "error: data must not contain NaN or infinite values\n"
+        assert messages[1:] == messages[:1] * 2
+        assert not (tmp_path / "out.csv").exists()
+
 
 class TestDistributedCommand:
     def test_multi_shard_release_matches_transform_bytes(self, vitals_csv, tmp_path, capsys):

@@ -301,6 +301,21 @@ class TestEncodeParity:
             outputs[codec] = path.read_bytes()
         assert outputs["fast"] == outputs["python"]
 
+    def test_empty_block_writes_nothing_in_every_lane(self, tmp_path):
+        assert encode_matrix_block(np.zeros((0, 2)), []) == ""
+        assert encode_matrix_block(np.zeros((0, 2)), None) == ""
+        outputs = set()
+        for codec, pipelined in itertools.product(("fast", "python"), (False, True)):
+            path = tmp_path / f"{codec}-{pipelined}.csv"
+            with MatrixCsvWriter(
+                path, ["a", "b"], include_ids=True, codec=codec, pipelined=pipelined
+            ) as writer:
+                writer.write_rows([[1.0, 2.0]], ids=["r1"])
+                writer.write_rows(np.zeros((0, 2)), ids=[])
+                writer.write_rows([[3.0, 4.0]], ids=["r2"])
+            outputs.add(path.read_bytes())
+        assert outputs == {b"id,a,b\r\nr1,1.0,2.0\r\nr2,3.0,4.0\r\n"}
+
     def test_float_format_still_honoured(self, tmp_path):
         values = np.array([[1.23456789]])
         path = tmp_path / "fmt.csv"
