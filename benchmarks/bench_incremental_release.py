@@ -18,6 +18,17 @@ release layer alongside the compute kernels:
   against that schedule's frozen-policy replay, and the large timing bundle
   is checked too.  The flag gates unconditionally in
   ``check_bench_regression.py``.
+* ``sketch_state_round_trip_identical`` — every appended bundle of the
+  matrix persists its exact sketches in state format 2 (one base64 float64
+  block per state); decoding them and sending the states through format 2
+  and back gives bit-identical ``state()`` arrays, and the bundle's
+  rebuilt report equals the one the append computed in memory.
+* ``format1_bundle_append_identical`` — a bundle whose sketches are in the
+  older format 1 (one ``float.hex`` string per value, still read) takes an
+  append whose release bytes equal the frozen-policy replay and whose
+  report equals that of the same append onto a format-2 bundle.  Both flags
+  gate unconditionally; ``sketches_bytes`` (the large bundle's sketches
+  file after its append) is informational.
 * ``audit_reuse_fraction`` — re-auditing an unchanged release with the
   prior report reuses every row whose evidence hash is unchanged;
   ``audit_reuse_within_budget`` pins the >= 90% acceptance floor.
@@ -48,12 +59,16 @@ try:
     import repro  # noqa: F401
 except ImportError:  # allow `python benchmarks/bench_incremental_release.py` from anywhere
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+# The format-1 sketch oracle is shared with tests/test_versioned_release.py.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from bench_perf_hotpaths import best_time, ratio
+from sketch_format1 import format1_jsonable, report_fingerprint, rewrite_sketches
 
 from repro.core import RBT
 from repro.data.io import MatrixCsvWriter
 from repro.perf.backends import get_backend
+from repro.perf.streaming import StreamingMoments, state_from_jsonable, state_to_jsonable
 from repro.pipeline.audit import AttackSuite, builtin_threat_model
 from repro.pipeline.versioned import VersionedReleaseBundle, append_release
 
@@ -90,6 +105,20 @@ def concatenate_csvs(history: Path, delta: Path, output: Path) -> None:
         with delta.open(encoding="utf-8") as extra:
             next(extra)  # the (identical) header
             shutil.copyfileobj(extra, out)
+
+
+def sketch_round_trip_identical(bundle: VersionedReleaseBundle, append_report) -> bool:
+    """The bundle's format-2 sketches decode and re-encode bit for bit."""
+    sketches = json.loads(bundle.sketches_path.read_text(encoding="utf-8"))
+    identical = report_fingerprint(bundle.report()) == report_fingerprint(append_report)
+    for payload in (sketches["privacy"], *sketches["achieved"]):
+        state = StreamingMoments.from_state(state_from_jsonable(payload)).state()
+        again = state_from_jsonable(json.loads(json.dumps(state_to_jsonable(state))))
+        identical = identical and payload["format"] == 2 and all(
+            np.asarray(state[key]).tobytes() == np.asarray(again[key]).tobytes()
+            for key in state
+        )
+    return bool(identical)
 
 
 def bench_delta_vs_full(workdir: Path, quick: bool) -> dict:
@@ -148,6 +177,7 @@ def bench_delta_vs_full(workdir: Path, quick: bool) -> dict:
         "delta_speedup_floor": floor,
         "delta_speedup_within_budget": bool(speedup >= floor),
         "large_append_byte_identical": bool(byte_identical),
+        "sketches_bytes": grown.sketches_path.stat().st_size,
     }
 
 
@@ -170,6 +200,7 @@ def bench_byte_identity_matrix(workdir: Path) -> dict:
     header, rows = lines[0], lines[1:]
     combos = []
     byte_identical = True
+    round_trip_identical = True
     for schedule_name, schedule in schedules.items():
         slice_paths = []
         offset = 0
@@ -192,7 +223,10 @@ def bench_byte_identity_matrix(workdir: Path) -> dict:
                     backend=backend,
                 )
                 for path in slice_paths[1:]:
-                    append_release(bundle, path, chunk_rows=chunk_rows, backend=backend)
+                    report = append_release(bundle, path, chunk_rows=chunk_rows, backend=backend)
+                round_trip_identical = round_trip_identical and sketch_round_trip_identical(
+                    bundle, report
+                )
                 if reference_path is None:
                     reference_path = workdir / f"{schedule_name}_reference.csv"
                     bundle.reference_pipeline(chunk_rows=777).run(source, reference_path)
@@ -212,7 +246,30 @@ def bench_byte_identity_matrix(workdir: Path) -> dict:
         "matrix_rows": n_rows,
         "combinations": combos,
         "matrix_byte_identical": bool(byte_identical),
+        "sketch_state_round_trip_identical": bool(round_trip_identical),
     }
+
+
+def bench_format1_append(workdir: Path) -> dict:
+    """An append onto a bundle whose sketches are in the older format 1."""
+    slices = [workdir / f"halves_slice{index}.csv" for index in range(2)]
+    reference = workdir / "halves_reference.csv"
+    if not reference.exists():  # pragma: no cover - depends on bench ordering
+        raise RuntimeError("bench_byte_identity_matrix must run first")
+    bundle, _ = VersionedReleaseBundle.create(
+        slices[0], workdir / "format1_bundle", rbt=RBT(random_state=7), chunk_rows=256
+    )
+    rewrite_sketches(bundle, format1_jsonable)
+    reopened = VersionedReleaseBundle.open(bundle.path)
+    reopened.verify()
+    report = append_release(reopened, slices[1], chunk_rows=256)
+    # The release bytes do not depend on the sketches (the policy is frozen),
+    # so the evidence is checked too: it must equal the format-2 twin's.
+    twin = VersionedReleaseBundle.open(workdir / "halves_256_serial")
+    identical = reopened.released_path.read_bytes() == reference.read_bytes() and (
+        report_fingerprint(report) == report_fingerprint(twin.report())
+    )
+    return {"format1_bundle_append_identical": bool(identical)}
 
 
 def bench_audit_reuse(workdir: Path) -> dict:
@@ -241,6 +298,7 @@ def run(quick: bool) -> dict:
         results = bench_delta_vs_full(workdir, quick)
         matrix = bench_byte_identity_matrix(workdir)
         results.update(matrix)
+        results.update(bench_format1_append(workdir))
         results.update(bench_audit_reuse(workdir))
         results["append_byte_identical"] = bool(
             results["large_append_byte_identical"] and results["matrix_byte_identical"]
@@ -292,6 +350,11 @@ def main(argv=None) -> int:
     print(
         f"  byte-identity matrix ({len(scenario['combinations'])} combinations): "
         f"{scenario['append_byte_identical']}"
+    )
+    print(
+        f"  sketch state format 2 round trip: {scenario['sketch_state_round_trip_identical']}; "
+        f"format-1 bundle append: {scenario['format1_bundle_append_identical']}; "
+        f"sketches file {scenario['sketches_bytes'] / 1024:.0f} KiB"
     )
     print(
         f"  incremental re-audit reuse: {scenario['audit_reuse_fraction']:.0%} "

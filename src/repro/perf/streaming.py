@@ -72,6 +72,8 @@ layer in :mod:`repro.data.io` and the pipelines own those concerns.
 
 from __future__ import annotations
 
+import base64
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -556,33 +558,36 @@ class StreamingMoments:
     @classmethod
     def from_state(cls, state: dict, *, backend=None) -> StreamingMoments:
         """Rebuild an accumulator from :meth:`state` (exact round trip)."""
-        if not isinstance(state, dict) or state.get("format") != 1:
-            raise ValidationError("unrecognized StreamingMoments state payload")
-        accumulator = cls(
-            int(state["n_columns"]), cross=bool(state["cross"]), backend=backend
-        )
+        n_columns, cross = _state_shape(state)
+        accumulator = cls(n_columns, cross=cross, backend=backend)
         accumulator._merge_state(state)
         return accumulator
 
     def _merge_state(self, state: dict) -> None:
-        """Fold a :meth:`state` payload into this accumulator, exactly."""
-        if int(state["n_columns"]) != self._n_columns or bool(state["cross"]) != self._cross:
+        """Fold a :meth:`state` payload into this accumulator, exactly.
+
+        Every foreign state enters here — bundle loads, :meth:`from_state`
+        and the federated secure-sum total — so this is where a malformed
+        payload is refused (see :func:`_checked_state`) instead of being
+        broadcast or scattered into the wrong buckets.
+        """
+        state = _checked_state(state)
+        if state["n_columns"] != self._n_columns or state["cross"] != self._cross:
             raise ValidationError(
                 "cannot merge a StreamingMoments state with a different shape"
             )
-        deposits = int(state["deposits"])
+        deposits = state["deposits"]
         if self._deposits + deposits > _COMPRESS_DEPOSITS:
             self._compress()
-        indices = np.asarray(state["bucket_indices"], dtype=np.int64)
+        indices = state["bucket_indices"]
         if indices.size:
-            self._ensure_window(int(indices.min()), int(indices.max()) + 1)
-            values = np.asarray(state["bucket_values"], dtype=float)
-            self._buckets[indices - self._window_low] += values
+            self._ensure_window(int(indices[0]), int(indices[-1]) + 1)
+            self._buckets[indices - self._window_low] += state["bucket_values"]
         self._deposits += deposits
-        self._count += int(state["count"])
-        self._poison_nan += np.asarray(state["poison_nan"], dtype=np.int64)
-        self._poison_pos += np.asarray(state["poison_pos"], dtype=np.int64)
-        self._poison_neg += np.asarray(state["poison_neg"], dtype=np.int64)
+        self._count += state["count"]
+        self._poison_nan += state["poison_nan"]
+        self._poison_pos += state["poison_pos"]
+        self._poison_neg += state["poison_neg"]
 
     # ------------------------------------------------------------------ #
     # Statistics
@@ -737,43 +742,151 @@ def streamed_pair_moments(attribute_i, attribute_j, *, ddof: int = 1) -> tuple[f
 
 
 # --------------------------------------------------------------------------- #
-# Lossless JSON wire form of the sketch state
+# State validation and the lossless JSON wire form of the sketch state
 # --------------------------------------------------------------------------- #
+#: The per-quantity poison counters of a state.
+_POISON_KEYS = ("poison_nan", "poison_pos", "poison_neg")
+
+#: Keys of a :meth:`StreamingMoments.state` payload and of its JSON form.
+_STATE_KEYS = (
+    "n_columns",
+    "cross",
+    "count",
+    "deposits",
+    "bucket_indices",
+    "bucket_values",
+    *_POISON_KEYS,
+)
+
+#: JSON wire format written by :func:`state_to_jsonable`.  Format 1 (one
+#: ``float.hex`` string per bucket value) is still read, never written.
+_JSON_STATE_FORMAT = 2
+
+
+def _require_keys(payload: dict, kind: str) -> None:
+    for key in _STATE_KEYS:
+        if key not in payload:
+            raise ValidationError(f"{kind} is missing the {key!r} field")
+
+
+def _state_count(state: dict, key: str, *, minimum: int) -> int:
+    try:
+        value = operator.index(state[key])
+    except TypeError:
+        raise ValidationError(
+            f"StreamingMoments state field {key!r} must be an integer, got {state[key]!r}"
+        ) from None
+    if value < minimum:
+        raise ValidationError(
+            f"StreamingMoments state field {key!r} must be >= {minimum}, got {value}"
+        )
+    return value
+
+
+def _state_shape(state) -> tuple[int, bool]:
+    """``(n_columns, cross)`` of an in-memory state; rejects unknown payloads."""
+    if not isinstance(state, dict) or state.get("format") != 1:
+        raise ValidationError("unrecognized StreamingMoments state payload")
+    _require_keys(state, "StreamingMoments state")
+    return _state_count(state, "n_columns", minimum=1), bool(state["cross"])
+
+
+def _n_quantities(n_columns: int, cross: bool) -> int:
+    return 2 * n_columns + (n_columns * (n_columns - 1) // 2 if cross else 0)
+
+
+def _integer_vector(state: dict, key: str) -> np.ndarray:
+    """``state[key]`` as a 1-D int64 array; an empty vector of any dtype is allowed."""
+    vector = np.asarray(state[key])
+    if vector.ndim != 1 or (vector.size and not np.issubdtype(vector.dtype, np.integer)):
+        raise ValidationError(f"StreamingMoments state field {key!r} must be a 1-D integer vector")
+    return vector.astype(np.int64, copy=False)
+
+
+def _checked_state(state) -> dict:
+    """Validate an in-memory sketch state; return it with normalized types.
+
+    Raises :class:`~repro.exceptions.ValidationError` naming the offending
+    field.  The bucket indices must be integers, strictly increasing and
+    inside ``[0, _N_BUCKETS)``; the bucket values one finite row of
+    ``n_quantities`` per index; ``count``, ``deposits`` and the poison
+    counters non-negative integers, each poison vector ``n_quantities`` long.
+    """
+    n_columns, cross = _state_shape(state)
+    n_quantities = _n_quantities(n_columns, cross)
+    indices = _integer_vector(state, "bucket_indices")
+    if indices.size and (
+        indices[0] < 0 or indices[-1] >= _N_BUCKETS or np.any(np.diff(indices) <= 0)
+    ):
+        raise ValidationError(
+            "StreamingMoments state field 'bucket_indices' must be strictly increasing "
+            f"bucket indices in [0, {_N_BUCKETS})"
+        )
+    try:
+        values = np.asarray(state["bucket_values"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(
+            f"StreamingMoments state field 'bucket_values' is not numeric: {exc}"
+        ) from exc
+    if values.shape != (indices.size, n_quantities):
+        raise ValidationError(
+            f"StreamingMoments state field 'bucket_values' has shape {values.shape}, "
+            f"expected {(indices.size, n_quantities)} (one row per bucket index)"
+        )
+    if not np.isfinite(values).all():
+        raise ValidationError(
+            "StreamingMoments state field 'bucket_values' holds non-finite values"
+        )
+    checked = {
+        "format": 1,
+        "n_columns": n_columns,
+        "cross": cross,
+        "count": _state_count(state, "count", minimum=0),
+        "deposits": _state_count(state, "deposits", minimum=0),
+        "bucket_indices": indices,
+        "bucket_values": values,
+    }
+    for key in _POISON_KEYS:
+        poison = _integer_vector(state, key)
+        if poison.shape != (n_quantities,) or (poison < 0).any():
+            raise ValidationError(
+                f"StreamingMoments state field {key!r} must hold {n_quantities} "
+                "non-negative counts"
+            )
+        checked[key] = poison
+    return checked
+
+
 def state_to_jsonable(state: dict) -> dict:
     """Re-encode a :meth:`StreamingMoments.state` payload as pure JSON types.
 
-    Bucket sums are serialized as C99 hex-float strings (``float.hex``), which
-    round-trip **every** double bit-for-bit — including negative zero and
-    subnormals, which decimal-repr JSON encoders (and downstream parsers that
-    normalize ``-0.0`` to ``0``) can silently corrupt.  The versioned release
-    bundle persists sketch states through this codec, so its byte-identity
-    contract survives a JSON round trip.
+    Wire format 2: ``bucket_values`` is one base64 string of the
+    little-endian float64 (``"<f8"``) bytes of the ``(len(bucket_indices),
+    n_quantities)`` bucket array in row-major order.  Raw bytes round-trip
+    **every** double bit-for-bit — negative zero and subnormals included,
+    which decimal-repr JSON encoders can silently corrupt — with no
+    per-value Python work.  The versioned release bundle persists sketch
+    states through this codec, so its byte-identity contract survives a
+    JSON round trip.
     """
-    if not isinstance(state, dict) or state.get("format") != 1:
-        raise ValidationError("unrecognized StreamingMoments state payload")
-    values = np.asarray(state["bucket_values"], dtype=float)
+    state = _checked_state(state)
+    values = np.ascontiguousarray(state["bucket_values"], dtype="<f8")
     return {
-        "format": 1,
-        "n_columns": int(state["n_columns"]),
-        "cross": bool(state["cross"]),
-        "count": int(state["count"]),
-        "deposits": int(state["deposits"]),
-        "bucket_indices": [int(index) for index in np.asarray(state["bucket_indices"])],
-        "bucket_values": [[float(value).hex() for value in row] for row in values],
-        "poison_nan": [int(count) for count in np.asarray(state["poison_nan"])],
-        "poison_pos": [int(count) for count in np.asarray(state["poison_pos"])],
-        "poison_neg": [int(count) for count in np.asarray(state["poison_neg"])],
+        "format": _JSON_STATE_FORMAT,
+        "n_columns": state["n_columns"],
+        "cross": state["cross"],
+        "count": state["count"],
+        "deposits": state["deposits"],
+        "bucket_indices": state["bucket_indices"].tolist(),
+        "bucket_values": base64.b64encode(values.tobytes()).decode("ascii"),
+        "poison_nan": state["poison_nan"].tolist(),
+        "poison_pos": state["poison_pos"].tolist(),
+        "poison_neg": state["poison_neg"].tolist(),
     }
 
 
-def state_from_jsonable(payload: dict) -> dict:
-    """Invert :func:`state_to_jsonable`; the result feeds :meth:`StreamingMoments.from_state`."""
-    if not isinstance(payload, dict) or payload.get("format") != 1:
-        raise ValidationError("unrecognized StreamingMoments JSON state payload")
-    n_columns = int(payload["n_columns"])
-    cross = bool(payload["cross"])
-    n_quantities = 2 * n_columns + (n_columns * (n_columns - 1) // 2 if cross else 0)
-    rows = payload["bucket_values"]
+def _hex_bucket_values(rows, n_quantities: int) -> np.ndarray:
+    """Decode format-1 ``bucket_values``: one ``float.hex`` string per value."""
     values = np.empty((len(rows), n_quantities), dtype=float)
     for row_index, row in enumerate(rows):
         if len(row) != n_quantities:
@@ -785,17 +898,51 @@ def state_from_jsonable(payload: dict) -> dict:
                 values[row_index, column_index] = float.fromhex(text)
             except (TypeError, ValueError) as exc:
                 raise ValidationError(f"invalid hex-float bucket value {text!r}") from exc
+    return values
+
+
+def _binary_bucket_values(text, n_rows: int, n_quantities: int) -> np.ndarray:
+    """Decode format-2 ``bucket_values``: base64 of the ``"<f8"`` bucket array."""
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(
+            f"StreamingMoments JSON state field 'bucket_values' is not valid base64: {exc}"
+        ) from exc
+    expected = n_rows * n_quantities * 8
+    if len(raw) != expected:
+        raise ValidationError(
+            f"StreamingMoments JSON state field 'bucket_values' holds {len(raw)} bytes, "
+            f"expected {expected} ({n_rows} bucket(s) x {n_quantities} float64 values)"
+        )
+    return np.frombuffer(raw, dtype="<f8").reshape(n_rows, n_quantities)
+
+
+def state_from_jsonable(payload: dict) -> dict:
+    """Invert :func:`state_to_jsonable`; the result feeds :meth:`StreamingMoments.from_state`.
+
+    Reads wire format 2 and the older format 1 (bundles written by earlier
+    versions).  The decoded state is validated in full where it is merged.
+    """
+    kind = "StreamingMoments JSON state payload"
+    if not isinstance(payload, dict) or payload.get("format") not in (1, _JSON_STATE_FORMAT):
+        raise ValidationError(f"unrecognized {kind}")
+    _require_keys(payload, kind)
+    n_columns = _state_count(payload, "n_columns", minimum=1)
+    cross = bool(payload["cross"])
+    n_quantities = _n_quantities(n_columns, cross)
+    indices = _integer_vector(payload, "bucket_indices")
+    if payload["format"] == 1:
+        values = _hex_bucket_values(payload["bucket_values"], n_quantities)
+    else:
+        values = _binary_bucket_values(payload["bucket_values"], indices.size, n_quantities)
     return {
         "format": 1,
         "n_columns": n_columns,
         "cross": cross,
-        "count": int(payload["count"]),
-        "deposits": int(payload["deposits"]),
-        "bucket_indices": np.asarray(
-            [int(index) for index in payload["bucket_indices"]], dtype=np.int64
-        ),
+        "count": payload["count"],
+        "deposits": payload["deposits"],
+        "bucket_indices": indices,
         "bucket_values": values,
-        "poison_nan": np.asarray([int(c) for c in payload["poison_nan"]], dtype=np.int64),
-        "poison_pos": np.asarray([int(c) for c in payload["poison_pos"]], dtype=np.int64),
-        "poison_neg": np.asarray([int(c) for c in payload["poison_neg"]], dtype=np.int64),
+        **{key: _integer_vector(payload, key) for key in _POISON_KEYS},
     }

@@ -10,12 +10,14 @@ release without re-reading its history:
 * ``released-v<K>.csv`` — the current released matrix (version ``K``).
 * ``sketches-v<K>.json`` — the exact :class:`~repro.perf.streaming.StreamingMoments`
   states behind the privacy report and the per-rotation achieved variances,
-  serialized through the lossless hex-float codec.
+  in the lossless state format 2 of
+  :func:`~repro.perf.streaming.state_to_jsonable` (each bucket array is one
+  base64 block of little-endian float64 bytes; format 1 is still read).
 
-Every float that participates in the byte-identity contract (normalizer
-parameters, rotation angles, security-range endpoints, sketch bucket sums)
-is stored as a C99 hex string — ``float.hex()`` / ``float.fromhex()`` round
-trip each double bit-for-bit, negative zero and subnormals included.
+Every scalar float that participates in the byte-identity contract
+(normalizer parameters, rotation angles, security-range endpoints) is stored
+as a C99 hex string — ``float.hex()`` / ``float.fromhex()`` round trip each
+double bit-for-bit, negative zero and subnormals included.
 
 Crash safety: artifacts are written to temporary files in the bundle
 directory and published with ``os.replace``; the manifest is replaced

@@ -39,7 +39,9 @@ its parameters from a bundle's manifest.
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Iterable, Sequence
+import os
+from collections.abc import Iterable, Iterator, Sequence
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +94,38 @@ def _released_name(version: int) -> str:
 
 def _sketches_name(version: int) -> str:
     return f"sketches-v{version:04d}.json"
+
+
+@contextmanager
+def _locked_directory(path: Path) -> Iterator[None]:
+    """Hold an exclusive ``flock`` on the directory ``path`` itself.
+
+    Locking the directory's own descriptor leaves no lock file behind.  The
+    lock is released explicitly: a ``flock`` belongs to the open file
+    description, which children forked while it is held (process-pool
+    workers) share, so closing this descriptor alone would leave the lock
+    held for as long as they live.  A process that dies releases it too.
+    """
+    try:
+        import fcntl
+    except ImportError as exc:  # pragma: no cover - platforms without flock
+        raise BundleError(
+            f"cannot append to {path}: this platform has no fcntl.flock to "
+            "serialise appenders"
+        ) from exc
+    try:
+        descriptor = os.open(path, os.O_RDONLY)
+    except FileNotFoundError:
+        load_manifest(path)  # raises the actionable "not a release bundle" error
+        raise
+    try:
+        fcntl.flock(descriptor, fcntl.LOCK_EX)
+        try:
+            yield
+        finally:
+            fcntl.flock(descriptor, fcntl.LOCK_UN)
+    finally:
+        os.close(descriptor)
 
 
 class VersionedReleaseBundle:
@@ -336,108 +370,116 @@ class VersionedReleaseBundle:
         any new row is written (so the verified bytes are the copied bytes).
         The new release's hash continues that digest over the appended bytes
         only.  The checks and their messages are those of :meth:`verify`.
-        """
-        if expected_version is not None and self.version != expected_version:
-            raise BundleError(
-                f"bundle version mismatch: {self.path} is at version {self.version}, "
-                f"expected {expected_version}; re-open the bundle (another writer may "
-                "have appended) and retry"
-            )
-        new_rows = Path(new_rows)
-        self._check_schema(new_rows)
-        columns = self.columns
-        resolved_chunk_rows = resolve_chunk_rows(
-            len(columns), chunk_rows=chunk_rows, memory_budget_bytes=memory_budget_bytes
-        )
-        decided = plan_from_payload(self.manifest["plan"])
-        pipeline = StreamingReleasePipeline(
-            self._frozen_rbt(decided),
-            normalizer=normalizer_from_payload(self.manifest["normalizer"]),
-            chunk_rows=resolved_chunk_rows,
-            ddof=int(self.manifest["ddof"]),
-            backend=backend,
-            refit=False,
-            codec=codec,
-            pipelined=pipelined,
-        )
-        version = self.version + 1
-        digest = hashlib.sha256()
-        with MatrixCsvWriter(
-            self.path / _released_name(version),
-            columns,
-            include_ids=self.carry_ids,
-            float_format=self.manifest["float_format"],
-            append_from=self._artifact_path("released"),
-            digest=digest,
-            codec=pipeline.codec,
-            pipelined=pipeline.pipelined,
-        ) as writer:
-            self._check_hash("released", digest.hexdigest())
-            self._check_hash("sketches", file_sha256(self._artifact_path("sketches")))
-            # One pass over the delta: read it directly, never spilled.
-            delta_chunks = (
-                (chunk.values, chunk.ids)
-                for chunk in iter_matrix_csv(
-                    new_rows,
-                    chunk_rows=resolved_chunk_rows,
-                    id_column=self.id_column,
-                    codec=pipeline.codec,
-                    prefetch=2 if pipeline.pipelined else None,
-                )
-            )
-            delta_rows, privacy_state, achieved_states, records, privacy = _transform_pass(
-                pipeline,
-                delta_chunks,
-                writer,
-                columns,
-                decided,
-                carry_ids=self.carry_ids,
-                backend=backend,
-                prior_sketches=self._load_sketches(),
-            )
-        total_rows = self.total_rows + delta_rows
 
-        new_sketches = {
-            "format": "repro.release-sketches",
-            "version": version,
-            "n_objects": total_rows,
-            "privacy": state_to_jsonable(privacy_state),
-            "achieved": [state_to_jsonable(state) for state in achieved_states],
-        }
-        write_json_atomic(self.path / _sketches_name(version), new_sketches)
-        previous = dict(self.manifest["current"])
-        manifest = dict(self.manifest)
-        manifest["current"] = {
-            "version": version,
-            "total_rows": total_rows,
-            "released_file": _released_name(version),
-            "released_sha256": digest.hexdigest(),
-            "sketches_file": _sketches_name(version),
-            "sketches_sha256": file_sha256(self.path / _sketches_name(version)),
-        }
-        manifest["versions"] = list(self.manifest["versions"]) + [
-            {
+        Appends to one bundle are serialised: the whole append holds an
+        exclusive lock on the bundle directory and re-reads the manifest
+        under it, so ``expected_version`` is checked against the committed
+        version, and without it the rows land on whatever version is
+        current when the lock is granted.
+        """
+        with _locked_directory(self.path):
+            self.manifest = load_manifest(self.path)
+            if expected_version is not None and self.version != expected_version:
+                raise BundleError(
+                    f"bundle version mismatch: {self.path} is at version {self.version}, "
+                    f"expected {expected_version}; re-open the bundle (another writer may "
+                    "have appended) and retry"
+                )
+            new_rows = Path(new_rows)
+            self._check_schema(new_rows)
+            columns = self.columns
+            resolved_chunk_rows = resolve_chunk_rows(
+                len(columns), chunk_rows=chunk_rows, memory_budget_bytes=memory_budget_bytes
+            )
+            decided = plan_from_payload(self.manifest["plan"])
+            pipeline = StreamingReleasePipeline(
+                self._frozen_rbt(decided),
+                normalizer=normalizer_from_payload(self.manifest["normalizer"]),
+                chunk_rows=resolved_chunk_rows,
+                ddof=int(self.manifest["ddof"]),
+                backend=backend,
+                refit=False,
+                codec=codec,
+                pipelined=pipelined,
+            )
+            version = self.version + 1
+            digest = hashlib.sha256()
+            with MatrixCsvWriter(
+                self.path / _released_name(version),
+                columns,
+                include_ids=self.carry_ids,
+                float_format=self.manifest["float_format"],
+                append_from=self._artifact_path("released"),
+                digest=digest,
+                codec=pipeline.codec,
+                pipelined=pipeline.pipelined,
+            ) as writer:
+                self._check_hash("released", digest.hexdigest())
+                self._check_hash("sketches", file_sha256(self._artifact_path("sketches")))
+                # One pass over the delta: read it directly, never spilled.
+                delta_chunks = (
+                    (chunk.values, chunk.ids)
+                    for chunk in iter_matrix_csv(
+                        new_rows,
+                        chunk_rows=resolved_chunk_rows,
+                        id_column=self.id_column,
+                        codec=pipeline.codec,
+                        prefetch=2 if pipeline.pipelined else None,
+                    )
+                )
+                delta_rows, privacy_state, achieved_states, records, privacy = _transform_pass(
+                    pipeline,
+                    delta_chunks,
+                    writer,
+                    columns,
+                    decided,
+                    carry_ids=self.carry_ids,
+                    backend=backend,
+                    prior_sketches=self._load_sketches(),
+                )
+            total_rows = self.total_rows + delta_rows
+
+            new_sketches = {
+                "format": "repro.release-sketches",
                 "version": version,
-                "rows": delta_rows,
-                "total_rows": total_rows,
-                "input_sha256": file_sha256(new_rows),
-                "released_sha256": manifest["current"]["released_sha256"],
+                "n_objects": total_rows,
+                "privacy": state_to_jsonable(privacy_state),
+                "achieved": [state_to_jsonable(state) for state in achieved_states],
             }
-        ]
-        # The manifest flip is the commit point; a crash before it leaves the
-        # previous version's artifact set referenced and intact.
-        write_json_atomic(self.path / MANIFEST_NAME, manifest)
-        self.manifest = manifest
-        for stale in (previous["released_file"], previous["sketches_file"]):
-            (self.path / stale).unlink(missing_ok=True)
-        return StreamingReleaseReport(
-            n_objects=total_rows,
-            columns=columns,
-            records=records,
-            privacy=privacy,
-            chunk_rows=resolved_chunk_rows,
-            n_passes=1,
-        )
+            write_json_atomic(self.path / _sketches_name(version), new_sketches)
+            previous = dict(self.manifest["current"])
+            manifest = dict(self.manifest)
+            manifest["current"] = {
+                "version": version,
+                "total_rows": total_rows,
+                "released_file": _released_name(version),
+                "released_sha256": digest.hexdigest(),
+                "sketches_file": _sketches_name(version),
+                "sketches_sha256": file_sha256(self.path / _sketches_name(version)),
+            }
+            manifest["versions"] = list(self.manifest["versions"]) + [
+                {
+                    "version": version,
+                    "rows": delta_rows,
+                    "total_rows": total_rows,
+                    "input_sha256": file_sha256(new_rows),
+                    "released_sha256": manifest["current"]["released_sha256"],
+                }
+            ]
+            # The manifest flip is the commit point; a crash before it leaves the
+            # previous version's artifact set referenced and intact.
+            write_json_atomic(self.path / MANIFEST_NAME, manifest)
+            self.manifest = manifest
+            for stale in (previous["released_file"], previous["sketches_file"]):
+                (self.path / stale).unlink(missing_ok=True)
+            return StreamingReleaseReport(
+                n_objects=total_rows,
+                columns=columns,
+                records=records,
+                privacy=privacy,
+                chunk_rows=resolved_chunk_rows,
+                n_passes=1,
+            )
 
     def _check_schema(self, new_rows: Path) -> None:
         """Refuse an appended file whose header drifts from the bundle's."""

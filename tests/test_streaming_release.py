@@ -317,6 +317,113 @@ class TestIntegerDrain:
             assert not accumulator.means().any()
 
 
+def _small_state() -> dict:
+    """State of a 2-column accumulator over ``[[1, 2], [3, 4]]`` (means ``[2, 3]``)."""
+    return StreamingMoments(2).update([[1.0, 2.0], [3.0, 4.0]]).state()
+
+
+def _broadcast_one_row(state):
+    state["bucket_indices"] = state["bucket_indices"][:3]
+    state["bucket_values"] = state["bucket_values"][:1]
+
+
+def _duplicate_indices(state):
+    state["bucket_indices"] = np.full_like(state["bucket_indices"], state["bucket_indices"][0])
+
+
+def _shift_indices(offset):
+    def shift(state):
+        state["bucket_indices"] = state["bucket_indices"] + offset
+
+    return shift
+
+
+def _set(key, value):
+    def assign(state):
+        state[key] = value
+
+    return assign
+
+
+def _poison_bucket(state):
+    state["bucket_values"] = state["bucket_values"].copy()
+    state["bucket_values"][0, 0] = np.nan
+
+
+def _drop_column(state):
+    state["bucket_values"] = state["bucket_values"][:, :-1]
+
+
+def _float_indices(state):
+    state["bucket_indices"] = state["bucket_indices"].astype(float)
+
+
+class TestMalformedStates:
+    """Every merged state is validated; a malformed one names its bad field."""
+
+    def test_the_well_formed_state_round_trips(self):
+        assert StreamingMoments.from_state(_small_state()).means().tolist() == [2.0, 3.0]
+
+    @pytest.mark.parametrize(
+        ("corrupt", "field"),
+        [
+            (_broadcast_one_row, "bucket_values"),
+            (_drop_column, "bucket_values"),
+            (_poison_bucket, "bucket_values"),
+            (_duplicate_indices, "bucket_indices"),
+            (_shift_indices(-2000), "bucket_indices"),
+            (_shift_indices(2000), "bucket_indices"),
+            (_float_indices, "bucket_indices"),
+            (_set("count", -1), "count"),
+            (_set("count", 2.5), "count"),
+            (_set("deposits", -1), "deposits"),
+            (_set("poison_nan", np.zeros(3, dtype=np.int64)), "poison_nan"),
+            (_set("poison_pos", np.full(4, -1, dtype=np.int64)), "poison_pos"),
+            (_set("poison_neg", np.zeros(4)), "poison_neg"),
+        ],
+        ids=[
+            "rows-fewer-than-indices",
+            "columns-fewer-than-quantities",
+            "non-finite-value",
+            "duplicate-indices",
+            "indices-below-zero",
+            "indices-past-the-last-bucket",
+            "non-integer-indices",
+            "negative-count",
+            "non-integer-count",
+            "negative-deposits",
+            "short-poison-vector",
+            "negative-poison-count",
+            "non-integer-poison-vector",
+        ],
+    )
+    def test_malformed_state_is_refused(self, corrupt, field):
+        state = _small_state()
+        corrupt(state)
+        with pytest.raises(ValidationError, match=repr(field)):
+            StreamingMoments.from_state(state)
+        # The merge path of bundle loads and appends refuses it the same way.
+        accumulator = StreamingMoments(2)
+        with pytest.raises(ValidationError, match=repr(field)):
+            accumulator._merge_state(state)
+
+    def test_missing_key_is_named(self):
+        state = _small_state()
+        del state["poison_neg"]
+        with pytest.raises(ValidationError, match="'poison_neg'"):
+            StreamingMoments.from_state(state)
+
+    def test_unknown_in_memory_format_is_refused(self):
+        state = _small_state()
+        state["format"] = 2
+        with pytest.raises(ValidationError, match="unrecognized"):
+            StreamingMoments.from_state(state)
+
+    def test_merging_a_different_shape_is_refused(self):
+        with pytest.raises(ValidationError, match="different shape"):
+            StreamingMoments(3)._merge_state(_small_state())
+
+
 class TestStreamedNormalizerFits:
     @pytest.mark.parametrize(
         "make_normalizer",

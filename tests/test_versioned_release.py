@@ -9,13 +9,22 @@ owner's evidence bit-for-bit.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
+import multiprocessing
+import os
 import shutil
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from sketch_format1 import format1_jsonable, report_fingerprint, rewrite_sketches
 
+import repro
 from repro.attacks import available_attacks, build_attack
 from repro.core import RBT
 from repro.data import DataMatrix
@@ -403,7 +412,217 @@ class TestStateJsonRoundTrip:
 
     def test_unrecognized_payload_is_rejected(self):
         with pytest.raises(ValidationError, match="unrecognized"):
-            state_from_jsonable({"format": 2})
+            state_from_jsonable({"format": 3})
+
+
+class TestSketchStateFormat:
+    """Sketches are written in format 2 (binary float64); format 1 is still read."""
+
+    def test_format1_bundle_opens_verifies_reports_and_appends(self, feed, tmp_path):
+        full, matrix = feed
+        slices = _write_slices(matrix, (150, 90), tmp_path)
+        bundle, _ = create_release(
+            slices[0], tmp_path / "bundle", rbt=RBT(thresholds=0.3, random_state=5)
+        )
+        format2_report = report_fingerprint(bundle.report())
+        rewrite_sketches(bundle, format1_jsonable)
+        old = open_release(bundle.path)
+        assert json.loads(old.sketches_path.read_text())["privacy"]["format"] == 1
+        old.verify()
+        assert report_fingerprint(old.report()) == format2_report
+
+        append_release(old, slices[1])
+        old.verify()
+        sketches = json.loads(old.sketches_path.read_text())
+        assert {state["format"] for state in [sketches["privacy"], *sketches["achieved"]]} == {2}
+        reference = tmp_path / "reference.csv"
+        old.reference_pipeline().run(full, reference)
+        assert old.released_path.read_bytes() == reference.read_bytes()
+
+    def test_tricky_values_round_trip_through_the_format2_text(self):
+        values = np.array(
+            [
+                [-0.0, 5e-324, 1e308, -1e308],
+                [0.0, -5e-324, 2.2250738585072014e-308, -2.225073858507201e-308],
+                [1e-310, -1e-310, 1.7976931348623157e308, 3.14],
+            ]
+        )
+        state = StreamingMoments(2).state()
+        state.update(
+            count=3,
+            bucket_indices=np.array([5, 9, 2000], dtype=np.int64),
+            bucket_values=values,
+        )
+        text = json.dumps(state_to_jsonable(state))
+        assert json.loads(text)["format"] == 2
+        decoded = state_from_jsonable(json.loads(text))
+        assert decoded["bucket_values"].tobytes() == values.tobytes()
+        assert decoded["bucket_indices"].tolist() == [5, 9, 2000]
+        rebuilt = StreamingMoments.from_state(decoded)
+        original = StreamingMoments.from_state(state)
+        assert rebuilt.means().tobytes() == original.means().tobytes()
+
+    def test_empty_state_round_trips(self):
+        state = StreamingMoments(3, cross=True).state()
+        assert state["bucket_indices"].size == 0
+        payload = json.loads(json.dumps(state_to_jsonable(state)))
+        assert payload["bucket_values"] == ""
+        rebuilt = StreamingMoments.from_state(state_from_jsonable(payload))
+        assert rebuilt.count == 0
+        assert state_to_jsonable(rebuilt.state()) == payload
+
+    @staticmethod
+    def _payload() -> dict:
+        state = StreamingMoments(2).update([[1.0, 2.0], [3.0, 4.0]]).state()
+        return json.loads(json.dumps(state_to_jsonable(state)))
+
+    def test_wrong_byte_length_is_rejected(self):
+        payload = self._payload()
+        payload["bucket_values"] = base64.b64encode(
+            base64.b64decode(payload["bucket_values"])[:-8]
+        ).decode("ascii")
+        with pytest.raises(ValidationError, match="bytes, expected"):
+            state_from_jsonable(payload)
+
+    def test_invalid_base64_is_rejected(self):
+        payload = self._payload()
+        payload["bucket_values"] = "not base64!"
+        with pytest.raises(ValidationError, match="not valid base64"):
+            state_from_jsonable(payload)
+
+    def test_missing_key_is_rejected(self):
+        payload = self._payload()
+        del payload["deposits"]
+        with pytest.raises(ValidationError, match="'deposits'"):
+            state_from_jsonable(payload)
+
+
+def _append_when_released(bundle_dir, delta, expected_version, barrier, results) -> None:
+    """Open the bundle, wait for the other appender, then append ``delta``."""
+    bundle = open_release(bundle_dir)
+    barrier.wait(timeout=60)
+    try:
+        bundle.append(delta, expected_version=expected_version)
+    except Exception as exc:  # reported to the test process, which asserts on it
+        results.put((str(delta), type(exc).__name__, str(exc)))
+    else:
+        results.put((str(delta), "ok", bundle.version))
+
+
+#: Two appends in a row through one process pool that does not exist yet, in a
+#: fresh interpreter, so the pool's workers are created with the platform's
+#: default start method (fork on Linux) during the first, locked, append.
+_APPEND_TWICE = """
+import sys
+from repro.perf.backends import ProcessPoolBackend
+from repro.pipeline.versioned import open_release
+
+bundle = open_release(sys.argv[1])
+backend = ProcessPoolBackend(workers=2)
+for delta in sys.argv[2:]:
+    bundle.append(delta, backend=backend)
+backend.close()
+print(bundle.version)
+"""
+
+
+def _concatenate(paths, output) -> None:
+    with output.open("w", encoding="utf-8") as out:
+        for index, path in enumerate(paths):
+            lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+            out.writelines(lines if index == 0 else lines[1:])
+
+
+class TestConcurrentAppends:
+    """Two processes appending at once: serialised, no lost rows."""
+
+    @pytest.mark.parametrize("expected_version", [1, None], ids=["guarded", "unguarded"])
+    def test_concurrent_appenders_lose_no_rows(self, tmp_path, expected_version):
+        n_rows = 20_000
+        paths = []
+        for index in range(3):
+            path = tmp_path / f"part-{index}.csv"
+            matrix_to_csv(_correlated(n_rows, seed=40 + index, start=index * n_rows), path)
+            paths.append(path)
+        bundle, _ = create_release(
+            paths[0], tmp_path / "bundle", rbt=RBT(thresholds=0.3, random_state=5)
+        )
+
+        context = multiprocessing.get_context("spawn")
+        barrier = context.Barrier(2)
+        results = context.Queue()
+        workers = [
+            context.Process(
+                target=_append_when_released,
+                args=(bundle.path, delta, expected_version, barrier, results),
+            )
+            for delta in paths[1:]
+        ]
+        for worker in workers:
+            worker.start()
+        outcomes = [results.get(timeout=120) for _ in workers]
+        for worker in workers:
+            worker.join(timeout=60)
+            assert worker.exitcode == 0
+
+        grown = open_release(bundle.path)
+        grown.verify()
+        succeeded = [outcome for outcome in outcomes if outcome[1] == "ok"]
+        if expected_version is None:
+            assert len(succeeded) == 2, outcomes
+            assert grown.version == 3
+        else:
+            assert len(succeeded) == 1, outcomes
+            (failed,) = [outcome for outcome in outcomes if outcome[1] != "ok"]
+            assert failed[1] == "BundleError" and "version mismatch" in failed[2], outcomes
+            assert grown.version == 2
+        assert grown.total_rows == n_rows * grown.version
+
+        by_hash = {file_sha256(path): path for path in paths}
+        committed = [by_hash[entry["input_sha256"]] for entry in grown.manifest["versions"]]
+        feed_path = tmp_path / "feed.csv"
+        _concatenate(committed, feed_path)
+        reference = tmp_path / "reference.csv"
+        grown.reference_pipeline().run(feed_path, reference)
+        assert grown.released_path.read_bytes() == reference.read_bytes()
+
+
+    def test_pool_forked_under_the_lock_does_not_keep_it(self, tmp_path):
+        # The first append fans its sketch update out and so forks the pool's
+        # workers while the bundle is locked; they inherit the lock's open
+        # file description.  The second append must still get the lock.
+        n_rows = 5_000
+        paths = []
+        for index in range(3):
+            path = tmp_path / f"part-{index}.csv"
+            matrix_to_csv(_correlated(n_rows, seed=50 + index, start=index * n_rows), path)
+            paths.append(path)
+        bundle, _ = create_release(
+            paths[0], tmp_path / "bundle", rbt=RBT(thresholds=0.3, random_state=5)
+        )
+
+        command = [sys.executable, "-c", _APPEND_TWICE, str(bundle.path), *map(str, paths[1:])]
+        source_root = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([source_root, *sys.path])}
+        process = subprocess.Popen(
+            command, stdout=subprocess.PIPE, text=True, env=env, start_new_session=True
+        )
+        try:
+            output, _ = process.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(process.pid, signal.SIGKILL)  # the appender and its pool workers
+            process.communicate()
+            pytest.fail("the second append blocked on the bundle lock")
+        assert process.returncode == 0
+        assert output.split() == ["3"]
+
+        grown = open_release(bundle.path)
+        grown.verify()
+        feed_path = tmp_path / "feed.csv"
+        _concatenate(paths, feed_path)
+        reference = tmp_path / "reference.csv"
+        grown.reference_pipeline().run(feed_path, reference)
+        assert grown.released_path.read_bytes() == reference.read_bytes()
 
 
 class TestMergeProperties:
