@@ -134,7 +134,7 @@ def _add_backend_options(subparser: argparse.ArgumentParser) -> None:
     """The kernel-backend knobs shared by the compute-heavy subcommands."""
     subparser.add_argument(
         "--backend",
-        choices=["serial", "process-pool", "numba"],
+        choices=["serial", "process-pool"],
         default=None,
         help=(
             "execution backend for the chunked kernels (default: REPRO_BACKEND "
@@ -158,30 +158,6 @@ def _resolve_backend(args: argparse.Namespace):
     if args.backend is None and args.kernel_workers is None:
         return None
     return get_backend(args.backend, workers=args.kernel_workers)
-
-
-def _add_codec_options(subparser: argparse.ArgumentParser, *, pipelined: bool = True) -> None:
-    """The CSV-codec knobs shared by the streamed I/O subcommands."""
-    subparser.add_argument(
-        "--codec",
-        choices=["fast", "python"],
-        default=None,
-        help=(
-            "CSV codec for the streamed I/O paths (default fast); both codecs "
-            "read and write identical bytes — python is the csv-module "
-            "reference path the fast codec is cross-checked against"
-        ),
-    )
-    if pipelined:
-        subparser.add_argument(
-            "--pipelined",
-            action="store_true",
-            help=(
-                "overlap file I/O with compute (bounded prefetch reader + "
-                "double-buffered writer); the released bytes are identical "
-                "with or without it"
-            ),
-        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -247,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
             "breakdown (routes through the streamed path)"
         ),
     )
-    _add_codec_options(transform)
     _add_backend_options(transform)
 
     distributed = subparsers.add_parser(
@@ -324,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="rows per streamed block at every party (any value gives the same bytes)",
     )
-    _add_codec_options(distributed)
 
     invert = subparsers.add_parser("invert", help="undo a release using a saved secret")
     invert.add_argument("input", type=Path, help="released CSV")
@@ -340,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
             "is byte-identical to the default in-memory path)"
         ),
     )
-    _add_codec_options(invert)
     _add_backend_options(invert)
 
     evaluate = subparsers.add_parser(
@@ -483,7 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="stream in blocks of this many rows (any value gives the same bytes)",
     )
-    _add_codec_options(release)
     _add_backend_options(release)
 
     audit = subparsers.add_parser(
@@ -591,7 +563,6 @@ def build_parser() -> argparse.ArgumentParser:
             "breakdown of the streamed evidence passes"
         ),
     )
-    _add_codec_options(audit, pipelined=False)
     _add_backend_options(audit)
 
     bench = subparsers.add_parser(
@@ -650,8 +621,6 @@ def _command_transform(args: argparse.Namespace) -> int:
             normalizer=normalizer,
             chunk_rows=args.chunk_rows,
             backend=backend,
-            codec=args.codec,
-            pipelined=args.pipelined,
         )
         streamed = pipeline.run(
             args.input, args.output, id_column=args.id_column, profiler=profiler
@@ -662,10 +631,10 @@ def _command_transform(args: argparse.Namespace) -> int:
         secret = streamed.secret()
         report = streamed.privacy
     else:
-        matrix = matrix_from_csv(args.input, id_column=args.id_column, codec=args.codec)
+        matrix = matrix_from_csv(args.input, id_column=args.id_column)
         normalized = normalizer.fit(matrix).transform(matrix)
         result = transformer.transform(normalized)
-        matrix_to_csv(result.matrix, args.output, codec=args.codec)
+        matrix_to_csv(result.matrix, args.output)
         n_objects, n_attributes = result.matrix.n_objects, result.matrix.n_attributes
         records = result.records
         pairs = result.pairs
@@ -715,17 +684,13 @@ def _command_distributed(args: argparse.Namespace) -> int:
             scratch = Path(stack.enter_context(tempfile.TemporaryDirectory()))
             source = shard_paths[0]
             shard_paths = [scratch / f"party-{index}.csv" for index in range(args.parties)]
-            written = split_csv_shards(
-                source, shard_paths, id_column=args.id_column, codec=args.codec
-            )
+            written = split_csv_shards(source, shard_paths, id_column=args.id_column)
             print(f"split {source} into {len(written)} shard(s): {list(written)} rows")
         pipeline = DistributedReleasePipeline(
             transformer,
             normalizer=normalizer,
             chunk_rows=args.chunk_rows,
             protocol_seed=args.protocol_seed,
-            codec=args.codec,
-            pipelined=args.pipelined,
         )
         report = pipeline.run(shard_paths, args.output, id_column=args.id_column)
 
@@ -774,13 +739,11 @@ def _command_invert(args: argparse.Namespace) -> int:
             chunk_rows=args.chunk_rows,
             id_column=args.id_column,
             backend=backend,
-            codec=args.codec,
-            pipelined=args.pipelined,
         )
     else:
-        released = matrix_from_csv(args.input, id_column=args.id_column, codec=args.codec)
+        released = matrix_from_csv(args.input, id_column=args.id_column)
         restored = secret.invert(released)
-        matrix_to_csv(restored, args.output, codec=args.codec)
+        matrix_to_csv(restored, args.output)
     print(f"restored matrix written to {args.output}")
     return 0
 
@@ -897,8 +860,6 @@ def _command_release(args: argparse.Namespace) -> int:
             chunk_rows=args.chunk_rows,
             backend=backend,
             id_column=args.id_column,
-            codec=args.codec,
-            pipelined=args.pipelined,
         )
         print(
             f"release v{bundle.version}: {bundle.total_rows} objects x "
@@ -921,8 +882,6 @@ def _command_release(args: argparse.Namespace) -> int:
             expected_version=args.expect_version,
             chunk_rows=args.chunk_rows,
             backend=backend,
-            codec=args.codec,
-            pipelined=args.pipelined,
         )
         print(
             f"release v{bundle.version}: appended "
@@ -1016,7 +975,6 @@ def _command_audit(args: argparse.Namespace) -> int:
         workers=args.workers,
         cache_dir=cache_dir,
         backend=_resolve_backend(args),
-        codec=args.codec,
     )
     profiler = StageProfiler() if args.profile else None
     report = suite.run(

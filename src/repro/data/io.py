@@ -30,9 +30,7 @@ seed ``csv.reader``/``csv.writer`` lane and remains the cross-check oracle,
 while ``codec="fast"`` (the default) routes eligible blocks through the
 vectorized codec in :mod:`repro.perf.csv_codec`, which is bitwise-identical
 on decode and byte-identical on encode — ineligible blocks fall back to the
-oracle lane automatically.  ``iter_matrix_csv`` additionally accepts a
-``prefetch`` depth and :class:`MatrixCsvWriter` a ``pipelined`` flag to
-overlap I/O with compute across chunks without changing any produced byte.
+oracle lane automatically.
 """
 
 from __future__ import annotations
@@ -312,7 +310,6 @@ def iter_matrix_csv(
     id_column: str | None = "id",
     allow_empty: bool = False,
     codec: str | None = None,
-    prefetch: int | None = None,
 ) -> Iterator[MatrixCsvChunk]:
     """Stream a matrix CSV as :class:`MatrixCsvChunk` blocks of ``chunk_rows`` rows.
 
@@ -328,22 +325,16 @@ def iter_matrix_csv(
 
     ``codec`` selects the decode lane (``"fast"`` by default, ``"python"``
     for the seed parser) — the chunks are bitwise identical either way.
-    ``prefetch`` (a depth ≥ 1) decodes up to that many chunks ahead on a
-    background thread; order and error semantics are unchanged.
     """
-    from ..perf.csv_codec import prefetch_chunks, resolve_codec
+    from ..perf.csv_codec import resolve_codec
 
     if resolve_codec(codec) == "fast":
-        chunks = _iter_matrix_csv_fast(
+        return _iter_matrix_csv_fast(
             path, chunk_rows=chunk_rows, id_column=id_column, allow_empty=allow_empty
         )
-    else:
-        chunks = _iter_matrix_csv_python(
-            path, chunk_rows=chunk_rows, id_column=id_column, allow_empty=allow_empty
-        )
-    if prefetch is not None:
-        chunks = prefetch_chunks(chunks, depth=prefetch)
-    return chunks
+    return _iter_matrix_csv_python(
+        path, chunk_rows=chunk_rows, id_column=id_column, allow_empty=allow_empty
+    )
 
 
 class MatrixPasses:
@@ -553,13 +544,8 @@ class MatrixCsvWriter:
         the process may use (:func:`repro.perf.csv_codec.encode_block`:
         forked children encode contiguous row slices, the parent writes
         them in order).  Encode stays serial with one CPU, off Linux, with
-        a ``float_format``, under ``pipelined`` or whenever another thread
-        is alive (such as a live process-pool backend).
-    pipelined:
-        When true, encoded text blocks are written by a background thread
-        (double-buffered), overlapping encode with disk I/O.  The produced
-        bytes and the atomic-commit semantics are unchanged; write errors
-        surface on the next :meth:`write_rows` or :meth:`close`.
+        a ``float_format`` or whenever another thread is alive (such as a
+        live process-pool backend).
     """
 
     def __init__(
@@ -572,9 +558,8 @@ class MatrixCsvWriter:
         append_from: str | Path | None = None,
         digest=None,
         codec: str | None = None,
-        pipelined: bool = False,
     ) -> None:
-        from ..perf.csv_codec import PipelinedTextSink, resolve_codec
+        from ..perf.csv_codec import resolve_codec
 
         self.path = Path(path)
         self.columns = tuple(str(name) for name in columns)
@@ -606,7 +591,6 @@ class MatrixCsvWriter:
             header = (["id"] if self.include_ids else []) + list(self.columns)
             self._writer.writerow(header)
             self._text_pending = True
-        self._sink = PipelinedTextSink(self._handle) if pipelined else None
 
     @property
     def rows_written(self) -> int:
@@ -631,24 +615,12 @@ class MatrixCsvWriter:
         elif ids is not None:
             raise SerializationError("writer was built with include_ids=False but ids were given")
         fmt = self.float_format
-        block_ids = ids if self.include_ids else None
-        if self.codec == "fast" and fmt is None and self._sink is None:
+        if self.codec == "fast" and fmt is None:
             from ..perf.csv_codec import encode_block
 
-            encode_block(block, block_ids, self._write_bytes)
-        elif self.codec == "fast" or self._sink is not None:
-            # Text for the pipelined sink, or the oracle lane's bytes for an
-            # explicit float_format.
-            from ..perf.csv_codec import encode_block_via_csv_writer, encode_matrix_block
-
-            text = encode_matrix_block(block, block_ids) if fmt is None else None
-            if text is None:
-                text = encode_block_via_csv_writer(block, block_ids, fmt)
-            if self._sink is not None:
-                self._sink.write(text)
-            else:
-                self._write_bytes(text.encode("utf-8"))
+            encode_block(block, ids, self._write_bytes)
         else:
+            # The oracle lane, which also serves an explicit float_format.
             for row_index in range(block.shape[0]):
                 row: list = []
                 if self.include_ids:
@@ -670,10 +642,6 @@ class MatrixCsvWriter:
     def close(self) -> None:
         """Flush, close and atomically publish the file over ``path`` (idempotent)."""
         if not self._handle.closed:
-            if self._sink is not None:
-                # A sink failure propagates before the handle closes, so the
-                # context manager still aborts instead of publishing.
-                self._sink.close()
             self._handle.close()
             if self._digest is not None:
                 with self._temporary.open("rb") as written:
@@ -684,11 +652,6 @@ class MatrixCsvWriter:
 
     def abort(self) -> None:
         """Close and discard the temporary file without touching ``path`` (idempotent)."""
-        if self._sink is not None:
-            try:
-                self._sink.close()
-            except BaseException:  # repro-lint: disable=RPR010 -- abort() discards the torn write; close() is the reporting path
-                pass  # aborting — the pending sink error is intentionally dropped
         if not self._handle.closed:
             self._handle.close()
         self._temporary.unlink(missing_ok=True)

@@ -54,7 +54,7 @@ from __future__ import annotations
 import time
 from collections.abc import Sequence
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +77,7 @@ from ..pipeline.streaming import (
     plan_rotations,
     privacy_report_from_moments,
     resolve_chunk_rows,
+    transform_pass,
 )
 from ..preprocessing import IdentifierSuppressor, Normalizer, ZScoreNormalizer
 from .parties import CommunicationLedger
@@ -326,7 +327,7 @@ class ShardParty:
         self,
         normalizer: Normalizer,
         decided,
-        column_index: dict[str, int],
+        columns: Sequence[str],
         writer: MatrixCsvWriter,
         carry_ids: bool,
     ) -> tuple[int, dict, list[dict]]:
@@ -337,22 +338,14 @@ class ShardParty:
         sketch states.
         """
         with self._timed():
-            n_columns = len(column_index)
-            privacy_moments = StreamingMoments(3 * n_columns)
-            achieved_moments = [StreamingMoments(2) for _ in decided]
-            n_rows = 0
-            for values, ids in self._passes.chunks():
-                if not values.shape[0]:
-                    continue
-                normalized = normalizer.transform(values)
-                current = apply_decided_rotations(
-                    normalized.copy(), decided, column_index, achieved_moments
-                )
-                privacy_moments.update(
-                    np.hstack((normalized, current, normalized - current))
-                )
-                writer.write_rows(current, ids=ids if carry_ids else None)
-                n_rows += values.shape[0]
+            n_rows, privacy_moments, achieved_moments = transform_pass(
+                ((values, ids) for values, ids in self._passes.chunks() if values.shape[0]),
+                normalizer,
+                decided,
+                columns,
+                writer,
+                carry_ids=carry_ids,
+            )
             return (
                 n_rows,
                 privacy_moments.state(),
@@ -462,7 +455,6 @@ class DistributedReleasePipeline:
         ddof: int = 1,
         protocol_seed=None,
         codec: str | None = None,
-        pipelined: bool = False,
     ) -> None:
         from ..perf.csv_codec import resolve_codec
 
@@ -472,7 +464,6 @@ class DistributedReleasePipeline:
         self.normalizer = normalizer if normalizer is not None else ZScoreNormalizer()
         self.suppressor = suppressor
         self.codec = resolve_codec(codec)
-        self.pipelined = bool(pipelined)
         self.chunk_rows = (
             check_integer_in_range(chunk_rows, name="chunk_rows", minimum=1)
             if chunk_rows is not None
@@ -567,7 +558,6 @@ class DistributedReleasePipeline:
             passes += moment_passes
 
             # ---- Transform round: every party releases its own rows, in order.
-            column_index = {name: position for position, name in enumerate(columns)}
             for party in parties[1:]:
                 ledger.record(
                     coordinator, party.name, 4 * len(decided), label="plan/transform-pass"
@@ -581,11 +571,10 @@ class DistributedReleasePipeline:
                 include_ids=carry_ids,
                 float_format=float_format,
                 codec=self.codec,
-                pipelined=self.pipelined,
             ) as writer:
                 for party in parties:
                     rows, privacy_state, achieved = party.transform_and_write(
-                        self.normalizer, decided, column_index, writer, carry_ids
+                        self.normalizer, decided, columns, writer, carry_ids
                     )
                     party_rows.append(rows)
                     privacy_states.append((party.name, privacy_state))
@@ -638,7 +627,6 @@ def split_csv_shards(
     row_counts: Sequence[int] | None = None,
     id_column: str | None = "id",
     chunk_rows: int | None = None,
-    codec: str | None = None,
 ) -> tuple[int, ...]:
     """Split one matrix CSV into horizontal shards (headers copied verbatim).
 
@@ -661,7 +649,7 @@ def split_csv_shards(
             sum(
                 chunk.values.shape[0]
                 for chunk in iter_matrix_csv(
-                    input_path, chunk_rows=chunk_rows, id_column=id_column, codec=codec
+                    input_path, chunk_rows=chunk_rows, id_column=id_column
                 )
             )
         )
@@ -676,10 +664,8 @@ def split_csv_shards(
     writers = []
     try:
         for path in paths:
-            writers.append(MatrixCsvWriter(path, columns, include_ids=has_ids, codec=codec))
-        for chunk in iter_matrix_csv(
-            input_path, chunk_rows=chunk_rows, id_column=id_column, codec=codec
-        ):
+            writers.append(MatrixCsvWriter(path, columns, include_ids=has_ids))
+        for chunk in iter_matrix_csv(input_path, chunk_rows=chunk_rows, id_column=id_column):
             values, ids = chunk.values, chunk.ids
             offset = 0
             while offset < values.shape[0]:

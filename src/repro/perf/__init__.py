@@ -16,10 +16,10 @@ Every expensive inner loop of the reproduction funnels through this package:
 * :mod:`repro.perf.streaming` — chunk-size-invariant tiled moment
   accumulators (fsum-combined per-tile partials) that make the streaming
   release pipeline's statistics bitwise identical to the in-memory path.
-* :mod:`repro.perf.backends` — pluggable execution backends (serial,
-  shared-memory process pool, optional numba) behind which every chunked
-  kernel above fans its blocks out; merge order is fixed, so serial and
-  process-pool results are bitwise identical.
+* :mod:`repro.perf.backends` — pluggable execution backends (serial and a
+  shared-memory process pool) behind which every chunked kernel above fans
+  its blocks out; merge order is fixed, so serial and process-pool results
+  are bitwise identical.
 
 The kernels operate on plain ``numpy`` arrays and know nothing about the
 domain objects (``DataMatrix``, ``SecurityRange``, …); the domain modules in
@@ -32,13 +32,11 @@ from .backends import (
     BACKEND_ENV_VAR,
     WORKERS_ENV_VAR,
     ExecutionBackend,
-    NumbaBackend,
     ProcessPoolBackend,
     SerialBackend,
     available_backends,
     default_backend,
     get_backend,
-    is_numba_available,
 )
 from .analytic import (
     curve_admissible_intervals,
@@ -71,7 +69,6 @@ __all__ = [
     "WORKERS_ENV_VAR",
     "DistanceCache",
     "ExecutionBackend",
-    "NumbaBackend",
     "ProcessPoolBackend",
     "SerialBackend",
     "StreamingMoments",
@@ -79,7 +76,6 @@ __all__ = [
     "best_inverse_rotation",
     "default_backend",
     "get_backend",
-    "is_numba_available",
     "streamed_pair_moments",
     "assign_nearest_center",
     "batched_inverse_rotations",

@@ -22,10 +22,6 @@ This module owns the fan-out.  An :class:`ExecutionBackend` turns
   completion order.  Because the merge order is fixed and the per-block
   arithmetic is untouched, its results are **bitwise equal** to
   :class:`SerialBackend` for every routed kernel.
-* :class:`NumbaBackend` — an optional serial backend that dispatches to a
-  worker function's ``numba_variant`` when one exists.  Guarded by an
-  import check; jitted variants reassociate reductions and are therefore
-  *outside* the bitwise contract (see PERFORMANCE.md).
 
 Memory contract
 ---------------
@@ -40,7 +36,7 @@ magnitude.
 Defaults and the environment
 ----------------------------
 Kernels resolve ``backend=None`` through :func:`default_backend`, which
-reads ``REPRO_BACKEND`` (``serial`` | ``process-pool`` | ``numba``) and
+reads ``REPRO_BACKEND`` (``serial`` | ``process-pool``) and
 ``REPRO_KERNEL_WORKERS``.  Inside a worker process the default is always
 serial — a kernel running in a pool worker must never recursively fan out.
 Backends returned for string specs are shared per-process singletons; only
@@ -54,7 +50,6 @@ import multiprocessing
 import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor, wait
-from importlib.util import find_spec
 from itertools import islice
 from multiprocessing import shared_memory
 
@@ -69,11 +64,9 @@ __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "ProcessPoolBackend",
-    "NumbaBackend",
     "available_backends",
     "default_backend",
     "get_backend",
-    "is_numba_available",
     "iter_block_bounds",
     "normalize_backend_name",
 ]
@@ -243,7 +236,7 @@ class ExecutionBackend:
         arrays = arrays or {}
         kwargs = kwargs or {}
         for start, stop in iter_block_bounds(n_items, block_items):
-            yield start, stop, self._call(fn, arrays, start, stop, kwargs)
+            yield start, stop, fn(arrays, start, stop, **kwargs)
 
     def map_blocks(self, fn, n_items: int, block_items: int, *, arrays=None, kwargs=None):
         """List of per-block results, in block order."""
@@ -253,9 +246,6 @@ class ExecutionBackend:
                 fn, n_items, block_items, arrays=arrays, kwargs=kwargs
             )
         ]
-
-    def _call(self, fn, arrays, start, stop, kwargs):
-        return fn(arrays, start, stop, **kwargs)
 
     def close(self) -> None:
         """Release any pooled resources (no-op for inline backends)."""
@@ -361,51 +351,17 @@ class ProcessPoolBackend(ExecutionBackend):
             self._pool = None
 
 
-def is_numba_available() -> bool:
-    """Whether the optional ``numba`` package can be imported."""
-    try:
-        return find_spec("numba") is not None
-    except (ImportError, ValueError):  # pragma: no cover - broken installs
-        return False
-
-
-class NumbaBackend(SerialBackend):
-    """Serial execution that prefers a worker's jitted ``numba_variant``.
-
-    Raises :class:`~repro.exceptions.ValidationError` when ``numba`` is not
-    installed, so callers can fall back explicitly instead of crashing at
-    first use.  Jitted variants reassociate their reductions, so this
-    backend is **not** part of the serial/process-pool bitwise contract —
-    results are numerically close, not bit-equal (see PERFORMANCE.md).
-    """
-
-    name = "numba"
-
-    def __init__(self) -> None:
-        if not is_numba_available():
-            raise ValidationError(
-                "the 'numba' backend requires the optional numba package, which is not "
-                "installed; use backend='serial' or backend='process-pool' instead"
-            )
-
-    def _call(self, fn, arrays, start, stop, kwargs):
-        variant = getattr(fn, "numba_variant", None)
-        if variant is not None:
-            return variant(arrays, start, stop, **kwargs)
-        return fn(arrays, start, stop, **kwargs)
-
-
 # --------------------------------------------------------------------------- #
 # Registry and defaults
 # --------------------------------------------------------------------------- #
-_BACKEND_NAMES = ("serial", "process-pool", "numba")
+_BACKEND_NAMES = ("serial", "process-pool")
 
 #: Per-process shared instances for string specs, keyed by (name, workers).
 _SHARED: dict[tuple, ExecutionBackend] = {}
 
 
 def available_backends() -> tuple[str, ...]:
-    """Names accepted by :func:`get_backend` (availability not implied for numba)."""
+    """Names accepted by :func:`get_backend`."""
     return _BACKEND_NAMES
 
 
@@ -431,10 +387,10 @@ def _shared_instance(name: str, workers: int | None) -> ExecutionBackend:
         if key not in _SHARED:
             _SHARED[key] = ProcessPoolBackend(workers=resolved)
         return _SHARED[key]
-    # Serial and numba run inline; a worker count is meaningless and ignored.
+    # Serial runs inline; a worker count is meaningless and ignored.
     key = (name, 1)
     if key not in _SHARED:
-        _SHARED[key] = SerialBackend() if name == "serial" else NumbaBackend()
+        _SHARED[key] = SerialBackend()
     return _SHARED[key]
 
 

@@ -1,4 +1,4 @@
-"""Vectorized CSV codec and pipelined chunk I/O for the streamed matrix paths.
+"""Vectorized CSV codec and decoded-chunk spill for the streamed matrix paths.
 
 PRs 1–8 vectorized every compute hot path, which left the streamed release
 dominated by :mod:`repro.data.io`'s scalar loops: ``csv.reader`` plus a
@@ -25,14 +25,9 @@ seam of :func:`repro.data.io.iter_matrix_csv` and
   slice) and send the bytes back over a pipe, and the parent writes the
   slices in row order, so the output is byte-identical by construction.
   It stays serial on one CPU, off Linux, when any other thread is alive
-  (the pipelined sink, a live process pool), and for blocks under
+  (such as a live process pool), and for blocks under
   ``2 * _MIN_ROWS_PER_WORKER`` rows; a failed child's slice is re-encoded
   in the parent, and no child outlives the call.
-* **Pipelined chunk I/O** — a bounded prefetch iterator
-  (:func:`prefetch_chunks`) and a double-buffered background writer sink
-  (:class:`PipelinedTextSink`) let decode, compute and encode overlap across
-  chunks.  Both preserve order structurally, so the bitwise chunk-invariance
-  and serial≡parallel contracts are untouched.
 * **Decoded-chunk spill cache** — :class:`DecodedChunkCache` spills the
   decoded float blocks (and ids) of the first pass to a binary scratch file
   and replays later passes from it instead of re-parsing CSV text.  Every
@@ -53,7 +48,6 @@ import gc
 import io
 import os
 import pickle
-import queue
 import re
 import shutil
 import signal
@@ -73,11 +67,9 @@ from ..exceptions import SerializationError, ValidationError
 __all__ = [
     "DEFAULT_CODEC",
     "DecodedChunkCache",
-    "PipelinedTextSink",
     "decode_matrix_csv",
     "encode_block",
     "encode_matrix_block",
-    "prefetch_chunks",
     "resolve_codec",
 ]
 
@@ -454,14 +446,11 @@ def encode_matrix_block(values: np.ndarray, ids: Sequence | None) -> str | None:
     return "\r\n".join(rows) + "\r\n"
 
 
-def encode_block_via_csv_writer(
-    values: np.ndarray, ids: Sequence | None, float_format: str | None
-) -> str:
+def encode_block_via_csv_writer(values: np.ndarray, ids: Sequence | None) -> str:
     """Oracle-lane block encode: ``csv.writer`` into a string buffer.
 
     Produces exactly the bytes the seed per-row writer emits — used for
-    blocks :func:`encode_matrix_block` declines and for the pipelined
-    python codec, where rows must become text before crossing the queue.
+    blocks :func:`encode_matrix_block` declines.
     """
     from ..data.io import format_value
 
@@ -471,7 +460,7 @@ def encode_block_via_csv_writer(
         row: list = []
         if ids is not None:
             row.append(ids[row_index])
-        row.extend(format_value(value, float_format) for value in values[row_index])
+        row.extend(format_value(value, None) for value in values[row_index])
         writer.writerow(row)
     return buffer.getvalue()
 
@@ -480,7 +469,7 @@ def _encode_slice(values: np.ndarray, ids: Sequence | None) -> bytes:
     """Encode rows in the fast lane, or the ``csv.writer`` lane if it declines."""
     text = encode_matrix_block(values, ids)
     if text is None:
-        text = encode_block_via_csv_writer(values, ids, None)
+        text = encode_block_via_csv_writer(values, ids)
     return text.encode("utf-8")
 
 
@@ -590,118 +579,6 @@ def encode_block(values: np.ndarray, ids: Sequence | None, write) -> None:
                 pass
             os.waitpid(pid, 0)
             os.close(read_fd)
-
-
-# --------------------------------------------------------------------------- #
-# Pipelined chunk I/O
-# --------------------------------------------------------------------------- #
-_STOP = object()
-
-
-def prefetch_chunks(iterable: Iterable, depth: int = 2) -> Iterator:
-    """Iterate ``iterable`` through a bounded background-thread prefetch.
-
-    Up to ``depth`` items are decoded ahead of the consumer, overlapping
-    read/decode with compute.  Order is the queue order — structurally
-    identical to serial iteration — and producer exceptions re-raise at the
-    consumer's position, so determinism and error semantics are unchanged.
-    """
-    depth = int(depth)
-    if depth < 1:
-        raise ValidationError(f"prefetch depth must be >= 1, got {depth}")
-    buffer: queue.Queue = queue.Queue(maxsize=depth)
-    cancelled = threading.Event()
-
-    def _produce() -> None:
-        try:
-            for item in iterable:
-                while not cancelled.is_set():
-                    try:
-                        buffer.put((item, None), timeout=0.1)
-                        break
-                    except queue.Full:
-                        continue
-                if cancelled.is_set():
-                    return
-            payload: tuple = (_STOP, None)
-        except BaseException as exc:  # repro-lint: disable=RPR010 -- carried across the thread and re-raised at the consumer
-            payload = (_STOP, exc)
-        while not cancelled.is_set():
-            try:
-                buffer.put(payload, timeout=0.1)
-                return
-            except queue.Full:
-                continue
-
-    producer = threading.Thread(target=_produce, name="repro-csv-prefetch", daemon=True)
-    producer.start()
-    try:
-        while True:
-            item, error = buffer.get()
-            if item is _STOP:
-                if error is not None:
-                    raise error
-                return
-            yield item
-    finally:
-        cancelled.set()
-        producer.join(timeout=5.0)
-
-
-class PipelinedTextSink:
-    """Double-buffered background writer for encoded CSV text blocks.
-
-    The caller encodes on its own thread and hands finished text here; a
-    single background thread performs the ``handle.write`` calls in arrival
-    order (a bounded two-slot queue — one block writing, one block queued —
-    overlaps encode with disk I/O).  Writer-thread failures re-raise on the
-    next :meth:`write` or :meth:`close`, so disk errors surface exactly
-    where the serial writer would raise them.
-    """
-
-    def __init__(self, handle, *, depth: int = 2) -> None:
-        self._handle = handle
-        self._queue: queue.Queue = queue.Queue(maxsize=int(depth))
-        self._error: BaseException | None = None
-        self._closed = False
-        self._thread = threading.Thread(
-            target=self._drain, name="repro-csv-write", daemon=True
-        )
-        self._thread.start()
-
-    def _drain(self) -> None:
-        while True:
-            text = self._queue.get()
-            if text is _STOP:
-                return
-            if self._error is not None:
-                continue  # swallow queued blocks after a failure; close() re-raises
-            try:
-                self._handle.write(text)
-            except BaseException as exc:  # repro-lint: disable=RPR010 -- stored and re-raised on the caller's next write/close
-                self._error = exc
-
-    def _check(self) -> None:
-        if self._error is not None:
-            error, self._error = self._error, None
-            self._closed = True
-            raise error
-
-    def write(self, text: str) -> None:
-        if self._closed:
-            raise SerializationError("pipelined CSV sink is already closed")
-        self._check()
-        self._queue.put(text)
-
-    def close(self) -> None:
-        """Flush queued blocks and stop the writer thread (idempotent)."""
-        if not self._closed:
-            self._queue.put(_STOP)
-            self._thread.join()
-            self._closed = True
-        if self._error is not None:
-            error, self._error = self._error, None
-            raise error
 
 
 # --------------------------------------------------------------------------- #

@@ -128,63 +128,6 @@ def _distance_rows_worker(arrays, start: int, stop: int, *, metric: str, p: floa
     return _metric_rows(matrix, start, stop, metric, p)
 
 
-_NUMBA_DISTANCE_ROWS = None
-
-
-def _ensure_numba_distance_rows():
-    global _NUMBA_DISTANCE_ROWS
-    if _NUMBA_DISTANCE_ROWS is None:
-        import numba
-
-        @numba.njit(cache=False)
-        def _rows(matrix, start, stop, metric_code, p):  # pragma: no cover - needs numba
-            m = matrix.shape[0]
-            n = matrix.shape[1]
-            out = np.empty((stop - start, m), dtype=np.float64)
-            for a in range(start, stop):
-                for b in range(m):
-                    if metric_code == 0:
-                        total = 0.0
-                        for k in range(n):
-                            # repro-lint: disable=RPR004 -- jitted path documented non-bitwise
-                            total += abs(matrix[a, k] - matrix[b, k])
-                        out[a - start, b] = total
-                    elif metric_code == 1:
-                        largest = 0.0
-                        for k in range(n):
-                            value = abs(matrix[a, k] - matrix[b, k])
-                            if value > largest:
-                                largest = value
-                        out[a - start, b] = largest
-                    else:
-                        total = 0.0
-                        for k in range(n):
-                            # repro-lint: disable=RPR004 -- jitted path documented non-bitwise
-                            total += abs(matrix[a, k] - matrix[b, k]) ** p
-                        out[a - start, b] = total ** (1.0 / p)
-            return out
-
-        _NUMBA_DISTANCE_ROWS = _rows
-    return _NUMBA_DISTANCE_ROWS
-
-
-def _distance_rows_numba(arrays, start: int, stop: int, *, metric: str, p: float) -> np.ndarray:
-    """Jitted variant of :func:`_distance_rows_worker` (``NumbaBackend`` only).
-
-    The sequential per-cell accumulation reassociates the reduction, so the
-    rows are numerically close to — not bitwise equal to — the reference
-    kernel; the Euclidean path is BLAS-dominated and simply delegates.
-    """
-    if metric == "euclidean":
-        return _distance_rows_worker(arrays, start, stop, metric=metric, p=p)
-    codes = {"manhattan": 0, "chebyshev": 1, "minkowski": 2}
-    rows = _ensure_numba_distance_rows()
-    return rows(np.ascontiguousarray(arrays["matrix"]), start, stop, codes[metric], float(p))
-
-
-_distance_rows_worker.numba_variant = _distance_rows_numba
-
-
 def pairwise_distances_blocked(
     data,
     *,

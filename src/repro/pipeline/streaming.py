@@ -34,7 +34,8 @@ rows; ``chunk_rows`` can be given directly or derived from a
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -67,6 +68,7 @@ __all__ = [
     "resolve_chunk_rows",
     "plan_rotations",
     "apply_decided_rotations",
+    "transform_pass",
     "build_rotation_records",
     "privacy_report_from_moments",
 ]
@@ -301,6 +303,43 @@ def apply_decided_rotations(
     return current
 
 
+def transform_pass(
+    chunks: Iterable[tuple[np.ndarray, Sequence | None]],
+    normalizer: Normalizer,
+    decided: Sequence[DecidedRotation],
+    columns: Sequence[str],
+    writer: MatrixCsvWriter,
+    *,
+    carry_ids: bool,
+    backend=None,
+    profiler=None,
+) -> tuple[int, StreamingMoments, list[StreamingMoments]]:
+    """Release ``(values, ids)`` chunks into ``writer``; return rows and evidence.
+
+    Each chunk is normalized and rotated in plan order, and its rows go to
+    ``writer``.  Returns ``(n_rows, privacy_moments, achieved_moments)``:
+    the width-3n accumulator of ``hstack((normalized, released, normalized −
+    released))`` and one width-2 accumulator of deltas per rotation.
+    ``profiler`` optionally times the ``read``, ``compute`` and ``write``
+    stages of each chunk.
+    """
+    column_index = {name: position for position, name in enumerate(columns)}
+    privacy_moments = StreamingMoments(3 * len(columns), backend=backend)
+    achieved_moments = [StreamingMoments(2) for _ in decided]
+    n_rows = 0
+    for chunk, ids in _profiled(chunks, profiler):
+        with profiler.section("compute") if profiler is not None else nullcontext():
+            normalized = normalizer.transform(chunk)
+            current = apply_decided_rotations(
+                normalized.copy(), decided, column_index, achieved_moments
+            )
+            privacy_moments.update(np.hstack((normalized, current, normalized - current)))
+        with profiler.section("write") if profiler is not None else nullcontext():
+            writer.write_rows(current, ids=ids if carry_ids else None)
+        n_rows += chunk.shape[0]
+    return n_rows, privacy_moments, achieved_moments
+
+
 def build_rotation_records(
     decided: Sequence[DecidedRotation],
     achieved_moments: Sequence[StreamingMoments],
@@ -454,11 +493,6 @@ class StreamingReleasePipeline:
         report are identical either way.  In either lane the first full
         pass spills its decoded chunks to a binary scratch file so later
         passes skip the CSV parse entirely.
-    pipelined:
-        When true, chunk decode runs up to two chunks ahead on a prefetch
-        thread and encoded output blocks are written by a background
-        thread.  Purely an I/O-overlap knob for multi-core hosts; chunk
-        order, released bytes and error semantics are unchanged.
 
     Examples
     --------
@@ -479,7 +513,6 @@ class StreamingReleasePipeline:
         backend=None,
         refit: bool = True,
         codec: str | None = None,
-        pipelined: bool = False,
     ) -> None:
         from ..perf.csv_codec import resolve_codec
 
@@ -487,7 +520,6 @@ class StreamingReleasePipeline:
             raise ValidationError("pass either chunk_rows or memory_budget_bytes, not both")
         self.rbt = rbt if rbt is not None else RBT()
         self.codec = resolve_codec(codec)
-        self.pipelined = bool(pipelined)
         self.normalizer = normalizer if normalizer is not None else ZScoreNormalizer()
         self.suppressor = suppressor
         self.chunk_rows = (
@@ -553,41 +585,23 @@ class StreamingReleasePipeline:
             passes += moment_passes
 
             # ---- Final pass: normalize + rotate every chunk and write it out.
-            n_columns = len(columns)
-            privacy_moments = StreamingMoments(3 * n_columns, backend=self.backend)
-            achieved_moments = [StreamingMoments(2) for _ in decided]
-            column_index = {name: position for position, name in enumerate(columns)}
-            n_objects = 0
             with MatrixCsvWriter(
                 output_path,
                 columns,
                 include_ids=carry_ids,
                 float_format=float_format,
                 codec=self.codec,
-                pipelined=self.pipelined,
             ) as writer:
-                for chunk, ids in _profiled(source.chunks(), profiler):
-                    if profiler is None:
-                        normalized = self.normalizer.transform(chunk)
-                        current = apply_decided_rotations(
-                            normalized.copy(), decided, column_index, achieved_moments
-                        )
-                        privacy_moments.update(
-                            np.hstack((normalized, current, normalized - current))
-                        )
-                        writer.write_rows(current, ids=ids if carry_ids else None)
-                    else:
-                        with profiler.section("compute"):
-                            normalized = self.normalizer.transform(chunk)
-                            current = apply_decided_rotations(
-                                normalized.copy(), decided, column_index, achieved_moments
-                            )
-                            privacy_moments.update(
-                                np.hstack((normalized, current, normalized - current))
-                            )
-                        with profiler.section("write"):
-                            writer.write_rows(current, ids=ids if carry_ids else None)
-                    n_objects += chunk.shape[0]
+                n_objects, privacy_moments, achieved_moments = transform_pass(
+                    source.chunks(),
+                    self.normalizer,
+                    decided,
+                    columns,
+                    writer,
+                    carry_ids=carry_ids,
+                    backend=self.backend,
+                    profiler=profiler,
+                )
             passes += 1
 
         records = build_rotation_records(decided, achieved_moments, ddof=self.rbt.ddof)
@@ -630,7 +644,6 @@ class StreamingReleasePipeline:
             id_column=id_column,
             codec=self.codec,
             kept_indices=kept_indices,
-            prefetch=2 if self.pipelined else None,
         )
 
 
@@ -660,8 +673,6 @@ def stream_invert(
     id_column: str | None = "id",
     float_format: str | None = None,
     backend=None,
-    codec: str | None = None,
-    pipelined: bool = False,
 ) -> int:
     """Undo a release chunk-by-chunk using the owner's secret.
 
@@ -670,8 +681,7 @@ def stream_invert(
     materialized matrix) and returns the number of restored rows.  With a
     parallel ``backend`` each chunk's rows are restored in worker-sized
     blocks — still the same bits, because every rotation touches one row at
-    a time.  ``codec`` / ``pipelined`` select the CSV lane exactly as in
-    :class:`StreamingReleasePipeline` — the restored bytes are identical.
+    a time.
     """
     input_path = Path(input_path)
     columns, has_ids = read_matrix_csv_header(input_path, id_column=id_column)
@@ -682,20 +692,9 @@ def stream_invert(
     backend = get_backend(backend)
     n_rows = 0
     with MatrixCsvWriter(
-        output_path,
-        columns,
-        include_ids=has_ids,
-        float_format=float_format,
-        codec=codec,
-        pipelined=pipelined,
+        output_path, columns, include_ids=has_ids, float_format=float_format
     ) as writer:
-        for chunk in iter_matrix_csv(
-            input_path,
-            chunk_rows=chunk_rows,
-            id_column=id_column,
-            codec=codec,
-            prefetch=2 if pipelined else None,
-        ):
+        for chunk in iter_matrix_csv(input_path, chunk_rows=chunk_rows, id_column=id_column):
             if backend.workers > 1 and chunk.values.shape[0] > 1:
                 values = chunk.values
                 # Input block + worker copy + shipped result + parent copy.

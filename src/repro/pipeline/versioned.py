@@ -68,11 +68,11 @@ from .streaming import (
     StreamingReleasePipeline,
     StreamingReleaseReport,
     _FileMomentSource,
-    apply_decided_rotations,
     build_rotation_records,
     plan_rotations,
     privacy_report_from_moments,
     resolve_chunk_rows,
+    transform_pass,
 )
 
 __all__ = [
@@ -196,7 +196,6 @@ class VersionedReleaseBundle:
         id_column: str | None = "id",
         float_format: str | None = None,
         codec: str | None = None,
-        pipelined: bool = False,
     ) -> tuple["VersionedReleaseBundle", StreamingReleaseReport]:
         """Release ``input_path`` from scratch and freeze the policy as version 1."""
         bundle_dir = Path(bundle_dir)
@@ -216,7 +215,6 @@ class VersionedReleaseBundle:
             ddof=ddof,
             backend=backend,
             codec=codec,
-            pipelined=pipelined,
         )
         columns_all, has_ids = read_matrix_csv_header(input_path, id_column=id_column)
         columns = tuple(columns_all)
@@ -243,7 +241,6 @@ class VersionedReleaseBundle:
                 include_ids=has_ids,
                 float_format=float_format,
                 codec=pipeline.codec,
-                pipelined=pipeline.pipelined,
             ) as writer:
                 n_objects, privacy_state, achieved_states, records, privacy = _transform_pass(
                     pipeline,
@@ -354,7 +351,6 @@ class VersionedReleaseBundle:
         memory_budget_bytes: int | None = None,
         backend=None,
         codec: str | None = None,
-        pipelined: bool = False,
     ) -> StreamingReleaseReport:
         """Stream ``new_rows`` through the frozen policy into version K+1.
 
@@ -400,7 +396,6 @@ class VersionedReleaseBundle:
                 backend=backend,
                 refit=False,
                 codec=codec,
-                pipelined=pipelined,
             )
             version = self.version + 1
             digest = hashlib.sha256()
@@ -412,7 +407,6 @@ class VersionedReleaseBundle:
                 append_from=self._artifact_path("released"),
                 digest=digest,
                 codec=pipeline.codec,
-                pipelined=pipeline.pipelined,
             ) as writer:
                 self._check_hash("released", digest.hexdigest())
                 self._check_hash("sketches", file_sha256(self._artifact_path("sketches")))
@@ -424,7 +418,6 @@ class VersionedReleaseBundle:
                         chunk_rows=resolved_chunk_rows,
                         id_column=self.id_column,
                         codec=pipeline.codec,
-                        prefetch=2 if pipeline.pipelined else None,
                     )
                 )
                 delta_rows, privacy_state, achieved_states, records, privacy = _transform_pass(
@@ -522,7 +515,6 @@ class VersionedReleaseBundle:
         memory_budget_bytes: int | None = None,
         backend=None,
         codec: str | None = None,
-        pipelined: bool = False,
     ) -> StreamingReleasePipeline:
         """The from-scratch replay of the frozen policy (the byte-identity oracle).
 
@@ -539,7 +531,6 @@ class VersionedReleaseBundle:
             backend=backend,
             refit=False,
             codec=codec,
-            pipelined=pipelined,
         )
 
     def _load_sketches(self) -> dict:
@@ -596,33 +587,25 @@ def _transform_pass(
 ):
     """Normalize + rotate ``(values, ids)`` chunks into ``writer``; fold + report evidence.
 
-    With ``prior_sketches`` the fresh accumulators absorb the persisted
-    states first, so the drained evidence covers the whole feed — the merge
-    is exact, hence identical to accumulating the concatenated rows.
+    With ``prior_sketches`` the pass's accumulators then absorb the
+    persisted states, so the drained evidence covers the whole feed — the
+    merge is exact, hence identical to accumulating the concatenated rows.
     """
-    n_columns = len(columns)
-    privacy_moments = StreamingMoments(3 * n_columns, backend=backend)
-    achieved_moments = [StreamingMoments(2) for _ in decided]
     if prior_sketches is not None:
-        privacy_moments._merge_state(state_from_jsonable(prior_sketches["privacy"]))
-        prior_achieved = prior_sketches["achieved"]
+        prior_privacy = state_from_jsonable(prior_sketches["privacy"])
+        prior_achieved = [state_from_jsonable(state) for state in prior_sketches["achieved"]]
         if len(prior_achieved) != len(decided):
             raise BundleError(
                 "bundle sketches do not match the rotation plan "
                 f"({len(prior_achieved)} achieved states for {len(decided)} rotations)"
             )
+    n_rows, privacy_moments, achieved_moments = transform_pass(
+        chunks, pipeline.normalizer, decided, columns, writer, carry_ids=carry_ids, backend=backend
+    )
+    if prior_sketches is not None:
+        privacy_moments._merge_state(prior_privacy)
         for accumulator, state in zip(achieved_moments, prior_achieved):
-            accumulator._merge_state(state_from_jsonable(state))
-    column_index = {name: position for position, name in enumerate(columns)}
-    n_rows = 0
-    for chunk, ids in chunks:
-        normalized = pipeline.normalizer.transform(chunk)
-        current = apply_decided_rotations(
-            normalized.copy(), decided, column_index, achieved_moments
-        )
-        privacy_moments.update(np.hstack((normalized, current, normalized - current)))
-        writer.write_rows(current, ids=ids if carry_ids else None)
-        n_rows += chunk.shape[0]
+            accumulator._merge_state(state)
     # Export the sketch states *before* draining statistics: a drained
     # accumulator refuses to export (its exactness guarantee has been spent).
     privacy_state = privacy_moments.state()

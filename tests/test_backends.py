@@ -22,13 +22,11 @@ from repro.perf.backends import (
     BACKEND_ENV_VAR,
     WORKERS_ENV_VAR,
     ExecutionBackend,
-    NumbaBackend,
     ProcessPoolBackend,
     SerialBackend,
     available_backends,
     default_backend,
     get_backend,
-    is_numba_available,
     iter_block_bounds,
     normalize_backend_name,
 )
@@ -313,7 +311,7 @@ class TestDistanceCacheSeam:
 
 class TestRegistryAndEnvironment:
     def test_available_backends(self):
-        assert available_backends() == ("serial", "process-pool", "numba")
+        assert available_backends() == ("serial", "process-pool")
 
     def test_normalize_backend_name(self):
         assert normalize_backend_name("Process_Pool") == "process-pool"
@@ -354,20 +352,13 @@ class TestRegistryAndEnvironment:
         with pytest.raises(ValidationError, match="workers"):
             ProcessPoolBackend(workers=0)
 
-    @pytest.mark.skipif(is_numba_available(), reason="numba installed")
-    def test_numba_backend_guarded_when_missing(self):
-        with pytest.raises(ValidationError, match="numba"):
-            NumbaBackend()
-        with pytest.raises(ValidationError, match="numba"):
+    def test_numba_is_an_unknown_backend(self, monkeypatch):
+        unknown = r"unknown backend 'numba'; expected one of serial, process-pool$"
+        monkeypatch.setenv(BACKEND_ENV_VAR, "numba")
+        with pytest.raises(ValidationError, match=unknown):
+            default_backend()
+        with pytest.raises(ValidationError, match=unknown):
             get_backend("numba")
-
-    @pytest.mark.skipif(not is_numba_available(), reason="numba not installed")
-    def test_numba_backend_close_to_serial(self, rng):
-        # Jitted reductions reassociate: close, not bitwise (see PERFORMANCE.md).
-        data = rng.normal(size=(25, 3))
-        serial = pairwise_distances_blocked(data, metric="manhattan")
-        jitted = pairwise_distances_blocked(data, metric="manhattan", backend=NumbaBackend())
-        np.testing.assert_allclose(jitted, serial, rtol=1e-12, atol=1e-12)
 
     def test_context_manager_closes_pool(self):
         backend = ProcessPoolBackend(workers=2)

@@ -39,6 +39,30 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["cluster", "in.csv", "out.csv", "--algorithm", "spectral"])
 
+    @pytest.mark.parametrize(
+        ("argv", "removed"),
+        [
+            (["transform", "in.csv", "out.csv"], ["--pipelined"]),
+            (["transform", "in.csv", "out.csv"], ["--codec", "python"]),
+            (["transform", "in.csv", "out.csv"], ["--backend", "numba"]),
+            (["distributed", "a.csv", "out.csv"], ["--pipelined"]),
+            (["distributed", "a.csv", "out.csv"], ["--codec", "python"]),
+            (["invert", "in.csv", "out.csv", "--secret", "s.json"], ["--pipelined"]),
+            (["invert", "in.csv", "out.csv", "--secret", "s.json"], ["--codec", "python"]),
+            (["invert", "in.csv", "out.csv", "--secret", "s.json"], ["--backend", "numba"]),
+            (["release", "bundle", "--init", "in.csv"], ["--pipelined"]),
+            (["release", "bundle", "--init", "in.csv"], ["--codec", "python"]),
+            (["release", "bundle", "--init", "in.csv"], ["--backend", "numba"]),
+            (["audit", "released.csv"], ["--codec", "python"]),
+            (["audit", "released.csv"], ["--backend", "numba"]),
+        ],
+    )
+    def test_removed_knobs_are_usage_errors(self, argv, removed, capsys):
+        build_parser().parse_args(argv)
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv + removed)
+        assert exit_info.value.code == 2
+
 
 class TestTransformCommand:
     def test_writes_release_secret_and_report(self, vitals_csv, tmp_path, capsys):
@@ -84,6 +108,17 @@ class TestTransformCommand:
             dissimilarity_matrix(released.values),
             atol=1e-6,
         )
+
+    def test_profile_writes_the_same_bytes(self, vitals_csv, tmp_path, capsys):
+        input_path, _ = vitals_csv
+        plain, profiled = tmp_path / "plain.csv", tmp_path / "profiled.csv"
+        assert main(["transform", str(input_path), str(plain), "--seed", "3"]) == 0
+        capsys.readouterr()
+        argv = ["transform", str(input_path), str(profiled), "--seed", "3", "--profile"]
+        assert main(argv) == 0
+        assert profiled.read_bytes() == plain.read_bytes()
+        table = capsys.readouterr().out
+        assert "compute" in table and "write" in table
 
     def test_minmax_normalizer_option(self, vitals_csv, tmp_path):
         input_path, _ = vitals_csv

@@ -1,4 +1,4 @@
-"""Tests for the fast CSV codec, the pipelined I/O helpers and bench diffing.
+"""Tests for the fast CSV codec, the decoded-chunk spill cache and bench diffing.
 
 The fast codec's contract is that it is *observationally identical* to the
 ``csv``-module reference codec: same chunks (bitwise values, same ids, same
@@ -25,11 +25,9 @@ from repro.perf.benchreport import (
 )
 from repro.perf.csv_codec import (
     DecodedChunkCache,
-    PipelinedTextSink,
     decode_matrix_csv,
     encode_block_via_csv_writer,
     encode_matrix_block,
-    prefetch_chunks,
     resolve_codec,
 )
 
@@ -270,12 +268,12 @@ class TestEncodeParity:
         ids = [f"r{i}" for i in range(values.shape[0])]
         fast = encode_matrix_block(values, ids)
         assert fast is not None
-        assert fast == encode_block_via_csv_writer(values, ids, None)
+        assert fast == encode_block_via_csv_writer(values, ids)
 
     def test_no_ids(self):
         values = np.array([[1.5, -0.0], [5e-324, 1e16]])
         fast = encode_matrix_block(values, None)
-        assert fast == encode_block_via_csv_writer(values, None, None)
+        assert fast == encode_block_via_csv_writer(values, None)
 
     def test_ids_needing_quotes_are_ineligible(self):
         values = np.array([[1.0], [2.0]])
@@ -305,11 +303,9 @@ class TestEncodeParity:
         assert encode_matrix_block(np.zeros((0, 2)), []) == ""
         assert encode_matrix_block(np.zeros((0, 2)), None) == ""
         outputs = set()
-        for codec, pipelined in itertools.product(("fast", "python"), (False, True)):
-            path = tmp_path / f"{codec}-{pipelined}.csv"
-            with MatrixCsvWriter(
-                path, ["a", "b"], include_ids=True, codec=codec, pipelined=pipelined
-            ) as writer:
+        for codec in ("fast", "python"):
+            path = tmp_path / f"{codec}.csv"
+            with MatrixCsvWriter(path, ["a", "b"], include_ids=True, codec=codec) as writer:
                 writer.write_rows([[1.0, 2.0]], ids=["r1"])
                 writer.write_rows(np.zeros((0, 2)), ids=[])
                 writer.write_rows([[3.0, 4.0]], ids=["r2"])
@@ -347,46 +343,6 @@ class TestRoundTripProperty:
             for chunk in iter_matrix_csv(source, chunk_rows=chunk_rows, codec=codec):
                 writer.write_rows(chunk.values, ids=list(chunk.ids))
         assert copy.read_bytes() == source.read_bytes()
-
-
-class TestPipelinedIO:
-    def test_prefetch_yields_identical_chunks(self, tmp_path):
-        path = tmp_path / "m.csv"
-        rows = "".join(f"r{i},{float(i)!r}\n" for i in range(100))
-        path.write_text("id,a\n" + rows, encoding="utf-8")
-        plain = list(iter_matrix_csv(path, chunk_rows=7))
-        prefetched = list(iter_matrix_csv(path, chunk_rows=7, prefetch=2))
-        _assert_chunks_equal(prefetched, plain)
-
-    def test_prefetch_propagates_errors(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("id,a\nr0,oops\n", encoding="utf-8")
-        with pytest.raises(SerializationError):
-            list(iter_matrix_csv(path, chunk_rows=1, prefetch=2))
-
-    def test_prefetch_depth_validated(self):
-        with pytest.raises(ValidationError):
-            list(prefetch_chunks(iter([]), depth=0))
-
-    def test_pipelined_writer_byte_identical(self, tmp_path):
-        rng = np.random.default_rng(11)
-        values = rng.normal(size=(500, 2))
-        ids = [f"r{i}" for i in range(500)]
-        plain_path, piped_path = tmp_path / "plain.csv", tmp_path / "piped.csv"
-        for path, pipelined in ((plain_path, False), (piped_path, True)):
-            with MatrixCsvWriter(path, ["a", "b"], include_ids=True, pipelined=pipelined) as w:
-                for start in range(0, 500, 37):
-                    w.write_rows(values[start : start + 37], ids=ids[start : start + 37])
-        assert piped_path.read_bytes() == plain_path.read_bytes()
-
-    def test_sink_rejects_write_after_close(self, tmp_path):
-        handle = (tmp_path / "sink.txt").open("w", encoding="utf-8")
-        sink = PipelinedTextSink(handle)
-        sink.write("hello")
-        sink.close()
-        with pytest.raises(SerializationError):
-            sink.write("again")
-        handle.close()
 
 
 class TestDecodedChunkCache:

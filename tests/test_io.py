@@ -371,12 +371,8 @@ class TestMatrixCsvWriter:
             with pytest.raises(SerializationError, match="include_ids=False"):
                 writer.write_rows(np.zeros((2, 1)), ids=["x", "y"])
 
-    @pytest.mark.parametrize(
-        ("codec", "pipelined"), [("fast", False), ("fast", True), ("python", False)]
-    )
-    def test_append_from_digest_covers_prefix_then_published_file(
-        self, tmp_path, codec, pipelined
-    ):
+    @pytest.mark.parametrize("codec", ["fast", "python"])
+    def test_append_from_digest_covers_prefix_then_published_file(self, tmp_path, codec):
         rng = np.random.default_rng(9)
         values = rng.normal(size=(30, 2))
         ids = [f"i{i}" for i in range(30)]
@@ -395,7 +391,6 @@ class TestMatrixCsvWriter:
             append_from=prior,
             digest=digest,
             codec=codec,
-            pipelined=pipelined,
         ) as writer:
             assert digest.hexdigest() == hashlib.sha256(prior.read_bytes()).hexdigest()
             writer.write_rows(values[12:], ids=ids[12:])

@@ -251,8 +251,8 @@ except ChildProcessError:
 class TestStaysSerial:
     @pytest.mark.parametrize(
         "options",
-        [{"pipelined": True}, {"float_format": "%.17g"}, {"codec": "python"}],
-        ids=["pipelined", "float-format", "python-codec"],
+        [{"float_format": "%.17g"}, {"codec": "python"}],
+        ids=["float-format", "python-codec"],
     )
     def test_writer_options_never_fork(self, tmp_path, options):
         values, ids = block(4 * FLOOR)

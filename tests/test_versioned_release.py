@@ -322,13 +322,11 @@ class TestAppendIntegrity:
         assert not (bundle.path / "released-v0003.csv").exists()
 
     @pytest.mark.parametrize(
-        ("chunk_rows", "codec", "pipelined"),
-        [(1, None, False), (7, None, True), (None, None, False), (7, "python", False)],
-        ids=["chunk1", "chunk7-pipelined", "default", "python-lane"],
+        ("chunk_rows", "codec"),
+        [(1, None), (7, None), (None, None), (7, "python")],
+        ids=["chunk1", "chunk7", "default", "python-lane"],
     )
-    def test_manifest_hash_is_the_published_files_hash(
-        self, feed, tmp_path, chunk_rows, codec, pipelined
-    ):
+    def test_manifest_hash_is_the_published_files_hash(self, feed, tmp_path, chunk_rows, codec):
         full, matrix = feed
         slices = _write_slices(matrix, (100, 1, 39, 100), tmp_path)
         bundle, _ = create_release(
@@ -337,10 +335,9 @@ class TestAppendIntegrity:
             rbt=RBT(thresholds=0.3, random_state=5),
             chunk_rows=chunk_rows,
             codec=codec,
-            pipelined=pipelined,
         )
         for path in slices[1:]:
-            append_release(bundle, path, chunk_rows=chunk_rows, codec=codec, pipelined=pipelined)
+            append_release(bundle, path, chunk_rows=chunk_rows, codec=codec)
             current = bundle.manifest["current"]
             assert current["released_sha256"] == file_sha256(bundle.released_path)
             assert bundle.manifest["versions"][-1]["released_sha256"] == current["released_sha256"]
